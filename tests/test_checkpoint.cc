@@ -208,6 +208,29 @@ TEST(LivePoint, RecordRoundTripAndResumeBitIdentical)
     EXPECT_EQ(resumed.windows_replayed, resumed.windows_total);
 }
 
+/** 64-bit FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+// Golden pin of a recording's serialized bytes: the file carries every
+// window's key set, back distances and vicinity histogram, so a drift
+// in any warm-up pass (or in the format) changes the digest.
+TEST(LivePoint, GoldenRecordingDigest)
+{
+    const auto bytes =
+        serialize(checkpoint::recordLivePoints("bzip2", quickConfig()));
+    EXPECT_EQ(bytes.size(), 58178u);
+    EXPECT_EQ(fnv1a(bytes), 0x0427bf312c1c914bull);
+}
+
 TEST(LivePoint, KeyInvalidation)
 {
     const auto cfg = quickConfig();
@@ -525,6 +548,31 @@ TEST(Confidence, LooseBoundStopsEarlyInsideIt)
     auto trace3 = workload::makeSpecTrace("bzip2");
     const auto other = core::DeloreanMethod::run(*trace3, reseeded);
     EXPECT_LE(other.ci_error, 0.5);
+}
+
+// Golden-value pin of an early-stopped run (the tolerance rule of
+// Delorean.GoldenBzip2QuickSchedule: integers exact, doubles to 1e-6
+// relative for cross-compiler FP differences). Which windows replay
+// and where the stop rule fires depend on the seeded shuffle and the
+// running CI, so any drift in either shows up here.
+TEST(Confidence, GoldenEarlyStoppedRun)
+{
+    auto cfg = quickConfig(8, 200'000);
+    cfg.confidence = 95.0;
+    cfg.target_error = 0.5;
+    cfg.min_windows = 2;
+    auto trace = workload::makeSpecTrace("bzip2");
+    const auto r = core::DeloreanMethod::run(*trace, cfg);
+
+    auto near = [](double expected) {
+        return std::abs(expected) * 1e-6 + 1e-12;
+    };
+    EXPECT_EQ(r.windows_replayed, 2u);
+    EXPECT_EQ(r.keys_total, 1223u);
+    EXPECT_EQ(r.traps, 20450u);
+    EXPECT_NEAR(r.ci_error, 0.087900842167665111,
+                near(0.087900842167665111));
+    EXPECT_NEAR(r.cpi(), 1.16615625, near(1.16615625));
 }
 
 TEST(Confidence, ResumeFromLivePointsStopsIdentically)

@@ -440,6 +440,38 @@ TEST(Dse, SharedWarmupManyAnalysts)
     EXPECT_GT(out.cost.wall_seconds, 0.0);
 }
 
+// Golden-value pin of the amortized sweep (tolerance rule of
+// Delorean.GoldenBzip2QuickSchedule). gamess's working set fits the
+// smallest LLC, so every point lands on the same statistics.
+TEST(Dse, GoldenGamessLlcSweep)
+{
+    auto trace = workload::makeSpecTrace("gamess");
+    const std::vector<std::uint64_t> sizes = {1 * MiB, 2 * MiB, 4 * MiB,
+                                              8 * MiB};
+    const auto out = DesignSpaceExplorer::run(*trace, quickConfig(), sizes);
+
+    auto near = [](double expected) {
+        return std::abs(expected) * 1e-6 + 1e-12;
+    };
+    ASSERT_EQ(out.points.size(), sizes.size());
+    for (const auto &point : out.points) {
+        const auto &r = point.result;
+        SCOPED_TRACE(point.llc_size);
+        EXPECT_EQ(r.keys_total, 1341u);
+        EXPECT_EQ(r.keys_explored, 192u);
+        EXPECT_EQ(r.keys_unresolved, 64u);
+        EXPECT_EQ(r.traps, 6191u);
+        EXPECT_EQ(r.reuse_samples, 281u);
+        EXPECT_EQ(r.false_positives, 6077u);
+        EXPECT_EQ(r.total.llcMisses(), 64u);
+        EXPECT_NEAR(r.cpi(), 0.592275, near(0.592275));
+    }
+    EXPECT_NEAR(out.cost.total_core_seconds, 35.380003539823008,
+                near(35.38));
+    EXPECT_NEAR(out.cost.wall_seconds, 24.554339823008853,
+                near(24.554));
+}
+
 TEST(Dse, MatchesSingleRunCpi)
 {
     // A DSE point must closely match a standalone DeLorean run at the

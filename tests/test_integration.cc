@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/delorean.hh"
 #include "sampling/coolsim.hh"
 #include "sampling/metrics.hh"
@@ -17,6 +20,30 @@ namespace
 
 using namespace delorean;
 using namespace delorean::sampling;
+
+/**
+ * DeLorean's pinned accuracy budget: the CPI error against SMARTS
+ * each case measured when the budget was set, plus a one percentage
+ * point margin. Accuracy drift past the margin fails this suite instead
+ * of passing inside a generic 20-25% band. Measured (%):
+ *
+ *   MethodTriple   gamess 11.4355, hmmer 0.7605, namd 1.5401,
+ *                  bwaves 2.0997, bzip2 10.3104
+ *   LlcSizeSweep   bzip2 at 1/2/4/16/64 MiB: 10.3104 each
+ *   Variants       prefetching libquantum 0.4616;
+ *                  gobmk lukewarm 10 k 3.3557, 50 k 2.3937
+ */
+constexpr double budget_margin_pct = 1.0;
+
+double
+measuredErrorPct(const std::string &benchmark)
+{
+    static const std::map<std::string, double> measured = {
+        {"gamess", 11.4355}, {"hmmer", 0.7605}, {"namd", 1.5401},
+        {"bwaves", 2.0997},  {"bzip2", 10.3104},
+    };
+    return measured.at(benchmark);
+}
 
 core::DeloreanConfig
 testConfig(std::uint64_t llc = 2 * MiB)
@@ -50,12 +77,15 @@ TEST_P(MethodTriple, HeadlineOrderingHolds)
     // DSW collects fewer reuse distances than RSW (Figure 6).
     EXPECT_LT(d.reuse_samples, c.reuse_samples);
 
-    // Accuracy: both within a loose band at this tiny test scale.
-    // (RSW degrades sharply once workload reuse distances approach the
-    // shrunken warm-up interval — hmmer's streaming reuse does exactly
-    // that here — so its band is wide; DSW, with exact key reuses,
-    // stays tight. This *is* the paper's argument in miniature.)
-    EXPECT_LT(cpiErrorPct(s, d), 20.0) << "DeLorean error";
+    // Accuracy: DeLorean inside its pinned budget, CoolSim within a
+    // loose band at this tiny test scale. (RSW degrades sharply once
+    // workload reuse distances approach the shrunken warm-up interval —
+    // hmmer's streaming reuse does exactly that here — so its band is
+    // wide; DSW, with exact key reuses, stays tight. This *is* the
+    // paper's argument in miniature.)
+    EXPECT_LT(cpiErrorPct(s, d),
+              measuredErrorPct(GetParam()) + budget_margin_pct)
+        << "DeLorean error";
     EXPECT_LT(cpiErrorPct(s, c), 120.0) << "CoolSim error";
 }
 
@@ -104,7 +134,8 @@ TEST_P(LlcSizeSweep, DeloreanTracksSmarts)
     const auto cfg = testConfig(GetParam());
     const auto s = SmartsMethod::run(*trace, cfg);
     const auto d = core::DeloreanMethod::run(*trace, cfg);
-    EXPECT_LT(cpiErrorPct(s, d), 20.0);
+    EXPECT_LT(cpiErrorPct(s, d),
+              measuredErrorPct("bzip2") + budget_margin_pct);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LlcSizeSweep,
@@ -127,7 +158,7 @@ TEST(Integration, PrefetchVariantRuns)
     const auto d = core::DeloreanMethod::run(*trace, cfg);
     EXPECT_GT(s.total.prefetches_issued +
                   s.total.prefetches_nullified, 0u);
-    EXPECT_LT(cpiErrorPct(s, d), 25.0);
+    EXPECT_LT(cpiErrorPct(s, d), 0.4616 + budget_margin_pct);
 }
 
 TEST(Integration, ReplacementPolicyVariantsRun)
@@ -158,8 +189,8 @@ TEST(Integration, LargerLukewarmWindowNeverHurtsDelorean)
     const auto d_big = core::DeloreanMethod::run(*trace, big);
 
     // Both configurations stay accurate.
-    EXPECT_LT(cpiErrorPct(s_small, d_small), 25.0);
-    EXPECT_LT(cpiErrorPct(s_big, d_big), 25.0);
+    EXPECT_LT(cpiErrorPct(s_small, d_small), 3.3557 + budget_margin_pct);
+    EXPECT_LT(cpiErrorPct(s_big, d_big), 2.3937 + budget_margin_pct);
 }
 
 } // namespace
