@@ -22,9 +22,9 @@
  *
  *  - two runs of any method with the same inputs produce byte-identical
  *    MethodResults;
- *  - host parallelism (core/parallel.hh, core/threaded_pipeline.hh)
- *    cannot perturb results, because no Rng is ever shared across
- *    concurrently executing work items.
+ *  - host parallelism (core/parallel.hh) cannot perturb results,
+ *    because no Rng is ever shared across concurrently executing work
+ *    items.
  *
  * Any new randomized component must follow the same rule: accept a seed
  * derived from configuration, own its Rng, and never read one shared

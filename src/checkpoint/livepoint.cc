@@ -427,27 +427,14 @@ LivePointFile
 recordLivePoints(const std::string &spec,
                  const core::DeloreanConfig &config)
 {
-    auto trace = workload::makeTrace(spec);
-    sampling::TraceCheckpointer checkpoints(*trace);
-    checkpoints.prepare(core::DeloreanMethod::checkpointPositions(config));
-    const core::WarmupArtifacts artifacts =
-        core::DeloreanMethod::warmup(*trace, config, checkpoints,
-                                     config.hier);
-
-    LivePointFile file;
-    file.key = livePointKey(spec, config);
-    file.workload = trace->name();
-    file.schedule = config.schedule;
-    file.windows.reserve(artifacts.keys.size());
-    for (std::size_t r = 0; r < artifacts.keys.size(); ++r) {
-        LivePointWindow w;
-        w.region = std::uint32_t(r);
-        w.warming_start = config.schedule.warmingStart(unsigned(r));
-        w.warm.keys = artifacts.keys[r];
-        w.warm.explored = artifacts.explored[r];
-        file.windows.push_back(std::move(w));
-    }
-    return file;
+    // The warm state is valid under any stopping rule: record it from
+    // a full in-order replay.
+    core::DeloreanConfig exact = config;
+    exact.confidence = 0.0;
+    exact.livepoint_file.clear();
+    core::DeloreanSession session(exact);
+    session.feedWindows(*workload::makeTrace(spec), session.windowsTotal());
+    return sessionLivePoints(session, spec);
 }
 
 void
@@ -548,12 +535,19 @@ sessionLivePoints(const core::DeloreanSession &session,
         throw CheckpointError(
             "cannot suspend a session before any fed window");
 
+    const auto &order = session.windowOrder();
+    for (unsigned i = 0; i < session.windowsFed(); ++i)
+        if (order[i] != i)
+            throw CheckpointError(
+                "cannot suspend a session whose fed windows are not a "
+                "region-order prefix");
+
     const core::DeloreanConfig &config = session.config();
     LivePointFile file;
     file.key = livePointKey(spec, config);
     file.workload = session.benchmark();
     file.schedule = config.schedule;
-    const auto &warm = session.warmWindows();
+    const auto warm = session.warmWindows();
     file.windows.reserve(warm.size());
     for (std::size_t r = 0; r < warm.size(); ++r) {
         LivePointWindow w;

@@ -157,8 +157,9 @@ void writeLivePoints(std::ostream &os, const LivePointFile &file);
 LivePointFile readLivePoints(std::istream &is);
 
 /**
- * Run the full warm-up (Scout + Explorers) for @p spec under @p config
- * and package every region's warm state, keyed with livePointKey().
+ * Feed an exact-mode session over every window of @p spec under
+ * @p config and package each region's warm state (sessionLivePoints),
+ * keyed with livePointKey().
  */
 LivePointFile recordLivePoints(const std::string &spec,
                                const core::DeloreanConfig &config);
@@ -197,9 +198,11 @@ loadPrefixForRun(const std::string &spec,
                  const std::string &path);
 
 /**
- * Suspend @p session: package its fed windows' warm state (a prefix
- * of the schedule) as a live-point file keyed for @p spec, ready for
- * writeLivePointFile. Requires at least one fed window.
+ * Suspend @p session: package its fed windows' warm state as a
+ * live-point file keyed for @p spec, ready for writeLivePointFile.
+ * Throws CheckpointError unless at least one window was fed and the
+ * fed windows are a region-order prefix of the schedule (a shuffled
+ * confidence-mode session is not).
  */
 LivePointFile sessionLivePoints(const core::DeloreanSession &session,
                                 const std::string &spec);

@@ -9,10 +9,11 @@
  * per-Explorer key breakdown (Figure 7), Explorer engagement (Figure 8),
  * and CPI/MPKI accuracy (Figures 9-14).
  *
- * The warm-up phase (Scout + Explorers) is exposed separately from the
- * Analyst phase because reuse distances are microarchitecture
- * independent: design-space exploration (core/dse.hh) runs the warm-up
- * once and feeds any number of Analysts (paper §3.3).
+ * The per-window loop lives in DeloreanSession (core/session.hh); the
+ * entry points here are thin wrappers that feed a session to
+ * completion. Reuse distances are microarchitecture independent, so
+ * design-space exploration (core/dse.hh) runs one session whose single
+ * warm-up feeds any number of Analysts (paper §3.3).
  */
 
 #ifndef DELOREAN_CORE_DELOREAN_HH
@@ -104,7 +105,7 @@ struct DeloreanConfig : sampling::MethodConfig
 /**
  * One region's complete warm state — the Scout's key set plus the
  * Explorer chain's measurements. This is the unit a live-point file
- * persists (src/checkpoint/) and the confidence loop replays.
+ * persists (src/checkpoint/) and a session resumes from.
  */
 struct RegionWarm
 {
@@ -115,15 +116,12 @@ struct RegionWarm
 };
 
 /**
- * Everything the warm-up passes (Scout + Explorers) produce: per-region
- * key sets with measured reuse distances, per-pass pipeline costs, and
- * the aggregated warm-up statistics.
+ * What the warm-up passes (Scout + Explorers) cost and found over a
+ * set of windows: per-pass pipeline costs and the aggregated warm-up
+ * statistics.
  */
 struct WarmupArtifacts
 {
-    std::vector<KeySet> keys;              //!< per region
-    std::vector<ExplorerResult> explored;  //!< per region
-
     /** Pipeline costs: scout, explorer-1..N. */
     std::vector<PassCosts> passes;
 
@@ -149,30 +147,18 @@ class DeloreanMethod
      * non-null it must hold one RegionWarm per region (e.g. loaded
      * from a live-point file); the Scout/Explorer passes are skipped
      * and the result is bit-identical to a fresh warm-up. With
-     * config.confidence > 0 the confidence-driven driver runs instead
-     * of the exact in-order one (see DeloreanConfig).
+     * config.confidence > 0 windows replay in the session's shuffled
+     * order until its stop rule fires (see DeloreanConfig).
      */
     static sampling::MethodResult
     run(const workload::TraceSource &master, const DeloreanConfig &config,
         const std::vector<RegionWarm> *warm = nullptr);
 
     /**
-     * Same, but reusing an externally prepared checkpoint store (the
-     * design-space explorer shares one across Analysts).
-     */
-    static sampling::MethodResult
-    run(const workload::TraceSource &master, const DeloreanConfig &config,
-        const sampling::TraceCheckpointer &checkpoints,
-        const std::vector<RegionWarm> *warm = nullptr);
-
-    /**
-     * Co-scheduled run of several configurations over one trace: per
-     * region, each config's Scout scans on its own (key sets depend on
-     * the hierarchy), then the Explorer windows are replayed with the
-     * reference stream decoded ONCE and fanned out to every config's
-     * directed profiler (ExplorerChain::exploreGroup); the Analyst
-     * passes stay per config. Requires every config to share the
-     * schedule, Explorer geometry (paper_horizons,
+     * Co-scheduled run of several configurations over one trace: a
+     * DeloreanSession carrying all of them, so each window's Explorer
+     * reference stream is decoded ONCE for every config. The configs
+     * must share the schedule, Explorer geometry (paper_horizons,
      * paper_vicinity_period), host_threads, exact mode
      * (confidence == 0) and no live-point file — grouping is an
      * execution strategy only, so results (and any caching of them)
@@ -182,44 +168,18 @@ class DeloreanMethod
     runGroup(const workload::TraceSource &master,
              const std::vector<DeloreanConfig> &configs);
 
-    /**
-     * Phase 1: Scout + Explorers for every region.
-     *
-     * @param scout_hier machine configuration used for the Scout's
-     *        lukewarm filter — pass the smallest LLC of a sweep so the
-     *        key sets stay valid for every configuration.
-     */
-    static WarmupArtifacts
-    warmup(const workload::TraceSource &master,
-           const DeloreanConfig &config,
-           const sampling::TraceCheckpointer &checkpoints,
-           const cache::HierarchyConfig &scout_hier);
-
-    /**
-     * Phase 2: one Analyst pass over all regions using precomputed
-     * warm-up artifacts. The returned result folds in the shared warm-up
-     * statistics/cost and the pipelined wall-clock.
-     */
-    static sampling::MethodResult
-    analyze(const workload::TraceSource &master,
-            const DeloreanConfig &config,
-            const sampling::TraceCheckpointer &checkpoints,
-            const WarmupArtifacts &artifacts);
-
     /** Checkpoint positions this configuration's passes will need. */
     static std::vector<InstCount>
     checkpointPositions(const DeloreanConfig &config);
 
     /**
-     * Fold per-region Scout/Explorer outputs into WarmupArtifacts:
-     * per-pass pipeline costs and aggregated warm-up statistics. Shared
-     * by the serial warmup() and the threaded pipeline (which computes
-     * the same outputs concurrently).
+     * Fold per-region Scout/Explorer outputs (ascending region order)
+     * into WarmupArtifacts: per-pass pipeline costs and aggregated
+     * warm-up statistics.
      */
     static WarmupArtifacts
     assembleArtifacts(const DeloreanConfig &config,
-                      std::vector<KeySet> keys,
-                      std::vector<ExplorerResult> explored);
+                      const std::vector<RegionWarm> &warm);
 };
 
 } // namespace delorean::core

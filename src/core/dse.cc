@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "core/parallel.hh"
+#include "core/session.hh"
 
 namespace delorean::core
 {
@@ -15,58 +15,46 @@ DesignSpaceExplorer::run(const workload::TraceSource &master,
 {
     fatal_if(llc_sizes.empty(), "DSE needs at least one LLC size");
 
-    // Shared checkpoints + shared warm-up, with the Scout's lukewarm
-    // filter on the smallest configuration so key sets are valid
-    // everywhere.
-    sampling::TraceCheckpointer checkpoints(master);
-    checkpoints.prepare(DeloreanMethod::checkpointPositions(base));
-
+    // One session, one warm-up: the Scout's lukewarm filter runs on the
+    // smallest configuration so key sets are valid everywhere, and
+    // every configuration's Analyst reuses the shared Explorer results.
+    std::vector<DeloreanConfig> configs;
+    for (const std::uint64_t size : llc_sizes) {
+        configs.push_back(base);
+        configs.back().hier = base.hier.withLlcSize(size);
+    }
     const std::uint64_t min_size =
         *std::min_element(llc_sizes.begin(), llc_sizes.end());
-    const WarmupArtifacts artifacts = DeloreanMethod::warmup(
-        master, base, checkpoints, base.hier.withLlcSize(min_size));
+    DeloreanSession session(std::move(configs),
+                            base.hier.withLlcSize(min_size));
+    session.feedWindows(master, session.windowsTotal());
+
+    const WarmupArtifacts shared =
+        DeloreanMethod::assembleArtifacts(base, session.warmWindows());
 
     Output out;
-    out.cost.shared_seconds = artifacts.cost.seconds();
+    out.cost.shared_seconds = shared.cost.seconds();
 
     const double ghz = base.cost.host_ghz * 1e9;
     double analyst_total = 0.0;
     double detailed_total = 0.0;
-    std::vector<double> analyst_wall_per_region(
-        base.schedule.num_regions, 0.0);
+    double slowest_per_region = 0.0;
 
-    // The paper's parallel Analysts, for real: every configuration's
-    // Analyst pass reuses the one shared warm-up and runs on its own
-    // host thread. Each point is a pure function of its LLC size, so
-    // the fan-out is bit-identical to the serial sweep.
-    out.points = parallelMap(
-        llc_sizes.size(), base.host_threads, [&](std::size_t i) {
-            DeloreanConfig cfg = base;
-            cfg.hier = base.hier.withLlcSize(llc_sizes[i]);
-            // Analysts already occupy the pool; keep each one serial
-            // inside rather than oversubscribing with nested pools.
-            cfg.host_threads = 1;
-
-            DsePoint point;
-            point.llc_size = llc_sizes[i];
-            point.result = DeloreanMethod::analyze(master, cfg,
-                                                   checkpoints,
-                                                   artifacts);
-            return point;
-        });
-
-    for (const auto &point : out.points) {
+    for (std::size_t i = 0; i < llc_sizes.size(); ++i) {
+        DsePoint point;
+        point.llc_size = llc_sizes[i];
+        point.result = session.finish(i);
         const double analyst_s =
-            point.result.cost.seconds() - artifacts.cost.seconds();
+            point.result.cost.seconds() - shared.cost.seconds();
         analyst_total += analyst_s;
         detailed_total += point.result.cost.detailedCycles() / ghz;
 
         // Parallel Analysts: the per-region wall contribution is the
         // slowest Analyst.
-        const double per_region =
-            analyst_s / double(base.schedule.num_regions);
-        for (auto &w : analyst_wall_per_region)
-            w = std::max(w, per_region);
+        slowest_per_region =
+            std::max(slowest_per_region,
+                     analyst_s / double(base.schedule.num_regions));
+        out.points.push_back(std::move(point));
     }
 
     const double k = double(llc_sizes.size());
@@ -83,8 +71,10 @@ DesignSpaceExplorer::run(const workload::TraceSource &master,
             : 0.0;
 
     // Wall clock: shared pipeline followed by the slowest Analyst.
-    std::vector<PassCosts> pipeline = artifacts.passes;
-    PassCosts analysts{"analysts(parallel)", analyst_wall_per_region};
+    std::vector<PassCosts> pipeline = shared.passes;
+    PassCosts analysts{"analysts(parallel)",
+                       std::vector<double>(base.schedule.num_regions,
+                                           slowest_per_region)};
     pipeline.push_back(std::move(analysts));
     out.cost.wall_seconds = pipelineWallSeconds(pipeline);
 

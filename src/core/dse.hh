@@ -4,9 +4,10 @@
  *
  * Reuse distance is microarchitecture-independent, so a single Scout and
  * a single set of Explorers can feed many parallel Analysts, each
- * simulating a different cache configuration. Warm-up cost is paid once;
- * the marginal cost of an extra configuration is one Analyst pass
- * (paper: < 1.05x total resources for 10 parallel Analysts).
+ * simulating a different cache configuration: one DeloreanSession with
+ * a shared Scout hierarchy (core/session.hh). Warm-up cost is paid
+ * once; the marginal cost of an extra configuration is one Analyst
+ * pass (paper: < 1.05x total resources for 10 parallel Analysts).
  */
 
 #ifndef DELOREAN_CORE_DSE_HH

@@ -12,9 +12,32 @@ namespace
 {
 
 /**
+ * Decoded memory-access lines of one region's Explorer windows.
+ *
+ * Explorer windows are nested: every window ends at the detailed start
+ * and horizons grow strictly, so Explorer k+1's window contains
+ * Explorer k's entirely. After Explorer k runs, the cache holds the
+ * memory-access line stream of [start, detailed start); Explorer k+1
+ * then only re-executes the fresh prefix [its window start, start) and
+ * replays the suffix straight from the cached lines. The observers consume an
+ * identical reference stream either way, so cached replay is
+ * bit-identical to full re-execution (the golden-pinned core/batch
+ * suites check this).
+ */
+struct WindowLineCache
+{
+    /** Trace position the cached lines begin at. */
+    InstCount start = 0;
+
+    bool valid = false;
+
+    /** Memory-access lines of [start, detailed start), stream order. */
+    std::vector<Addr> lines;
+};
+
+/**
  * Fold one window's directed-profiling and vicinity outputs into a
- * cell's result — the common tail of exploreOne and exploreGroup, so
- * solo and co-scheduled runs cannot drift apart.
+ * cell's result.
  *
  * @return the keys still unresolved (the next Explorer's input)
  */
@@ -65,113 +88,6 @@ ExplorerChain::ExplorerChain(const ExplorerConfig &config,
     }
 }
 
-std::vector<Addr>
-ExplorerChain::exploreOne(std::size_t k, const std::vector<Addr> &keys,
-                          InstCount detailed_start, ExplorerResult &res,
-                          WindowLineCache *cache) const
-{
-    res.engaged = std::max(res.engaged, unsigned(k + 1));
-
-    const InstCount horizon = config_.horizons[k];
-    const InstCount window_start =
-        detailed_start >= horizon ? detailed_start - horizon : 0;
-    const InstCount window = detailed_start - window_start;
-    res.window_insts[k] = window;
-
-    // Explorer-1 profiles functionally (gem5 atomic); later Explorers
-    // use virtualized directed profiling with watchpoint traps (§3.3).
-    const bool virtualized = k > 0;
-
-    // Nested-window replay reuse: only the fresh prefix
-    // [window_start, fresh_end) needs trace re-execution; the suffix
-    // [fresh_end, detailed_start) replays from the cached line stream
-    // of the previous (inner) window. See WindowLineCache.
-    const bool have_cache = cache && cache->valid;
-    fatal_if(have_cache && (cache->end != detailed_start ||
-                            cache->start < window_start),
-             "WindowLineCache does not nest inside Explorer-%zu's "
-             "window (cache [%llu, %llu), window [%llu, %llu))",
-             k, (unsigned long long)cache->start,
-             (unsigned long long)cache->end,
-             (unsigned long long)window_start,
-             (unsigned long long)detailed_start);
-    const InstCount fresh_end = have_cache ? cache->start : detailed_start;
-    const InstCount fresh = fresh_end - window_start;
-
-    profiling::DirectedProfiler dp;
-    dp.begin(keys, virtualized);
-    profiling::VicinitySampler vicinity(
-        config_.vicinityPeriod(k),
-        config_.seed + detailed_start + k * 0x9e37);
-    vicinity.beginWindow(virtualized);
-
-    // Replay in chunks: one memLines() call per chunk hands the inner
-    // loops a dense array of memory-access lines, then the directed
-    // profiler and the vicinity sampler each sweep the chunk on its
-    // own. The two are independent observers of the same reference
-    // stream, so the split is result-identical to interleaving them
-    // per access — and it lets each phase's wall-clock be measured
-    // with a handful of clock reads per chunk instead of per access.
-    constexpr InstCount chunk = 4096;
-    std::array<Addr, chunk> lines;
-    std::vector<Addr> fresh_lines;
-    if (cache && fresh > 0) {
-        // Memory instructions are typically 20-40% of the stream;
-        // reserving half avoids regrowth without overcommitting.
-        fresh_lines.reserve(std::size_t(fresh / 2));
-    }
-    double replay_ns = 0.0;
-    double vicinity_ns = 0.0;
-    RefCount mem_refs = 0;
-    if (fresh > 0) {
-        auto trace = checkpoints_.at(window_start);
-        for (InstCount done = 0; done < fresh;) {
-            const InstCount n = std::min(chunk, fresh - done);
-            const double t0 = profiling::nowNs();
-            const InstCount m = trace->memLines(lines.data(), n);
-            dp.observeAll(lines.data(), std::size_t(m));
-            if (cache) {
-                // Cache maintenance is charged to the replay phase:
-                // it is the cost of making later windows cheap.
-                fresh_lines.insert(fresh_lines.end(), lines.data(),
-                                   lines.data() + m);
-            }
-            const double t1 = profiling::nowNs();
-            vicinity.observeAll(lines.data(), std::size_t(m));
-            vicinity_ns += profiling::nowNs() - t1;
-            replay_ns += t1 - t0;
-            mem_refs += m;
-            done += n;
-        }
-    }
-    if (have_cache && !cache->lines.empty()) {
-        const double t0 = profiling::nowNs();
-        dp.observeAll(cache->lines.data(), cache->lines.size());
-        const double t1 = profiling::nowNs();
-        vicinity.observeAll(cache->lines.data(), cache->lines.size());
-        vicinity_ns += profiling::nowNs() - t1;
-        replay_ns += t1 - t0;
-        mem_refs += cache->lines.size();
-    }
-    res.timing.note(profiling::HotPhase::ExplorerReplay, replay_ns,
-                    window);
-    res.timing.note(profiling::HotPhase::Vicinity, vicinity_ns, mem_refs);
-
-    if (cache) {
-        if (have_cache) {
-            fresh_lines.insert(fresh_lines.end(), cache->lines.begin(),
-                               cache->lines.end());
-        }
-        cache->lines = std::move(fresh_lines);
-        cache->start = window_start;
-        cache->end = detailed_start;
-        cache->valid = true;
-    }
-
-    vicinity.endWindow();
-    return foldWindow(res, k, dp.end(), vicinity);
-}
-
 void
 ExplorerChain::exploreGroup(std::vector<GroupExploreCell> &cells,
                             InstCount detailed_start) const
@@ -198,6 +114,9 @@ ExplorerChain::exploreGroup(std::vector<GroupExploreCell> &cells,
         const InstCount window_start =
             detailed_start >= horizon ? detailed_start - horizon : 0;
         const InstCount window = detailed_start - window_start;
+        // Explorer-1 profiles functionally (gem5 atomic); later
+        // Explorers use virtualized directed profiling with watchpoint
+        // traps (§3.3).
         const bool virtualized = k > 0;
 
         const bool have_cache = cache.valid;
@@ -222,6 +141,8 @@ ExplorerChain::exploreGroup(std::vector<GroupExploreCell> &cells,
             config_.seed + detailed_start + k * 0x9e37);
         vicinity.beginWindow(virtualized);
 
+        // Memory instructions are typically 20-40% of the stream;
+        // reserving half avoids regrowth without overcommitting.
         std::vector<Addr> fresh_lines;
         if (fresh > 0)
             fresh_lines.reserve(std::size_t(fresh / 2));
@@ -232,6 +153,11 @@ ExplorerChain::exploreGroup(std::vector<GroupExploreCell> &cells,
         // Decode the fresh prefix once, fanning each chunk out to
         // every participant's profiler; replay the nested-window
         // suffix from the cached line stream (see WindowLineCache).
+        // The profilers and the vicinity sampler are independent
+        // observers of the same reference stream, so sweeping a dense
+        // chunk of lines through each in turn is result-identical to
+        // interleaving them per access, and costs a handful of clock
+        // reads per chunk instead of per access.
         if (fresh > 0) {
             auto trace = checkpoints_.at(window_start);
             for (InstCount done = 0; done < fresh;) {
@@ -287,29 +213,11 @@ ExplorerChain::exploreGroup(std::vector<GroupExploreCell> &cells,
                                cache.lines.end());
         cache.lines = std::move(fresh_lines);
         cache.start = window_start;
-        cache.end = detailed_start;
         cache.valid = true;
     }
 
     for (std::size_t i = 0; i < cells.size(); ++i)
         cells[i].result.unresolved = std::move(remaining[i]);
-}
-
-ExplorerResult
-ExplorerChain::explore(const std::vector<Addr> &keys,
-                       InstCount detailed_start) const
-{
-    ExplorerResult res;
-    std::vector<Addr> remaining = keys;
-
-    WindowLineCache cache;
-    for (std::size_t k = 0;
-         k < config_.horizons.size() && !remaining.empty(); ++k) {
-        remaining = exploreOne(k, remaining, detailed_start, res, &cache);
-    }
-
-    res.unresolved = std::move(remaining);
-    return res;
 }
 
 } // namespace delorean::core

@@ -133,33 +133,6 @@ struct ExplorerResult
 };
 
 /**
- * Decoded memory-access lines of one region's Explorer windows.
- *
- * Explorer windows are nested: every window ends at the detailed start
- * and horizons grow strictly, so Explorer k+1's window contains
- * Explorer k's entirely. After Explorer k runs, the cache holds the
- * memory-access line stream of [start, end); Explorer k+1 then only
- * re-executes the fresh prefix [its window start, start) and replays
- * the suffix straight from the cached lines. The observers consume an
- * identical reference stream either way — the per-window trace clone
- * never escapes exploreOne — so cached replay is bit-identical to full
- * re-execution (the golden-pinned core/batch suites check this).
- */
-struct WindowLineCache
-{
-    /** Trace position the cached lines begin at. */
-    InstCount start = 0;
-
-    /** One past the last covered position (= the detailed start). */
-    InstCount end = 0;
-
-    bool valid = false;
-
-    /** Memory-access lines of [start, end), stream order. */
-    std::vector<Addr> lines;
-};
-
-/**
  * One batch cell's view of a co-scheduled exploration: the keys its
  * Scout produced, and the per-region Explorer result the chain fills
  * in. See ExplorerChain::exploreGroup.
@@ -169,7 +142,7 @@ struct GroupExploreCell
     /** Lines needing exploration (this cell's Scout output). */
     std::vector<Addr> keys;
 
-    /** Filled by exploreGroup; bit-identical to explore(keys, ...). */
+    /** Filled by exploreGroup; independent of the other cells. */
     ExplorerResult result;
 };
 
@@ -184,44 +157,20 @@ class ExplorerChain
 
     /**
      * Measure key reuse distances for the region whose detailed part
-     * starts at @p detailed_start.
+     * starts at @p detailed_start, for one or more cells that share
+     * this trace and schedule (a single run is a group of one). Each
+     * window's reference stream is decoded ONCE and every chunk fans
+     * out to each participating cell's directed profiler. The vicinity
+     * sampler is seeded from the trace and window only — identical
+     * across cells — so it runs once per window and its output is
+     * folded into every participating cell. Each cell's result is
+     * bit-identical to exploring its keys alone; only wall-clock
+     * attribution differs (the shared decode and vicinity costs are
+     * split evenly across the window's participants, so summed timings
+     * equal real work).
      *
-     * @param keys lines needing exploration (from the Scout)
-     */
-    ExplorerResult explore(const std::vector<Addr> &keys,
-                           InstCount detailed_start) const;
-
-    /**
-     * Run Explorer @p k only (one pipeline stage): profiles its window
-     * for @p keys, folds findings into @p res, and returns the keys
-     * still unresolved (the next Explorer's input). Used by the
-     * threaded pipeline, where each Explorer is its own thread.
-     *
-     * @param cache optional decoded-line carry between the nested
-     *              windows of one region; pass the same object for
-     *              every Explorer of the region, or null to force full
-     *              re-execution (results are identical either way)
-     */
-    std::vector<Addr> exploreOne(std::size_t k,
-                                 const std::vector<Addr> &keys,
-                                 InstCount detailed_start,
-                                 ExplorerResult &res,
-                                 WindowLineCache *cache = nullptr) const;
-
-    /**
-     * Co-scheduled exploration: run the chain for several batch cells
-     * that share this trace and schedule, decoding each window's
-     * reference stream ONCE and fanning every chunk out to each
-     * participating cell's directed profiler. The vicinity sampler is
-     * seeded from the trace and window only — identical across cells —
-     * so it runs once per window and its output is folded into every
-     * participating cell. Each cell's result is bit-identical to a
-     * solo explore() of its keys; only wall-clock attribution differs
-     * (the shared decode and vicinity costs are split evenly across
-     * the window's participants, so summed timings equal real work).
-     *
-     * A cell participates in Explorer k while it still has unresolved
-     * keys — exactly the solo engagement rule.
+     * A cell engages Explorer k while it still has unresolved keys; the
+     * chain stops once no cell has any.
      */
     void exploreGroup(std::vector<GroupExploreCell> &cells,
                       InstCount detailed_start) const;

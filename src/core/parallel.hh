@@ -9,17 +9,12 @@
  * while preserving a hard guarantee: results are bit-identical to the
  * serial path, regardless of thread count or scheduling order.
  *
- * Two primitives:
- *
- *  - BoundedChannel: a blocking SPSC queue, the stand-in for the OS
- *    pipes of the paper's Time-Traveling pipeline (§3.2, Figure 4).
- *    Used by core/threaded_pipeline.
- *  - ThreadPool + parallelMap: a work pool for region- and
- *    configuration-level fan-out. parallelMap(n, threads, fn) evaluates
- *    fn(i) for i in [0, n) and returns the results indexed by i; each
- *    index owns its result slot, so scheduling cannot reorder output.
- *    With threads <= 1 the calls run inline on the calling thread —
- *    that *is* the serial reference path, not an approximation of it.
+ * ThreadPool + parallelMap: a work pool for region- and unit-level
+ * fan-out. parallelMap(n, threads, fn) evaluates fn(i) for i in [0, n)
+ * and returns the results indexed by i; each index owns its result
+ * slot, so scheduling cannot reorder output. With threads <= 1 the
+ * calls run inline on the calling thread — that *is* the serial
+ * reference path, not an approximation of it.
  *
  * Determinism contract: fn must depend only on its index argument and
  * on state it does not share mutably with other indices. Everything
@@ -37,69 +32,12 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace delorean::core
 {
-
-/**
- * A bounded single-producer/single-consumer channel — our stand-in for
- * the paper's OS pipes. push() blocks when the channel is full
- * (backpressure keeps a fast Scout from racing ahead unboundedly, just
- * like a full pipe); pop() blocks until an item or close().
- */
-template <typename T>
-class BoundedChannel
-{
-  public:
-    explicit BoundedChannel(std::size_t capacity = 2)
-        : capacity_(capacity)
-    {}
-
-    void
-    push(T item)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        not_full_.wait(lock,
-                       [&] { return queue_.size() < capacity_; });
-        queue_.push_back(std::move(item));
-        not_empty_.notify_one();
-    }
-
-    /** @return nullopt once the channel is closed and drained. */
-    std::optional<T>
-    pop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        not_empty_.wait(lock,
-                        [&] { return !queue_.empty() || closed_; });
-        if (queue_.empty())
-            return std::nullopt;
-        T item = std::move(queue_.front());
-        queue_.pop_front();
-        not_full_.notify_one();
-        return item;
-    }
-
-    void
-    close()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = true;
-        not_empty_.notify_all();
-    }
-
-  private:
-    std::size_t capacity_;
-    std::mutex mutex_;
-    std::condition_variable not_full_;
-    std::condition_variable not_empty_;
-    std::deque<T> queue_;
-    bool closed_ = false;
-};
 
 /**
  * A fixed-size pool of worker threads draining a task queue. Tasks are

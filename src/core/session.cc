@@ -1,8 +1,11 @@
 #include "core/session.hh"
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
 
 #include "base/logging.hh"
+#include "base/random.hh"
 #include "core/analyst.hh"
 #include "core/parallel.hh"
 #include "core/scout.hh"
@@ -32,58 +35,145 @@ class AssocTrainer : public cpu::MemObserver
     statmodel::AssocModel &model_;
 };
 
-/**
- * Every checkpoint position windows [first, first + n) read from:
- * warmingStart(r) for the Scout and Analyst, detailedStart(r) minus
- * each Explorer horizon. The per-window subset of
- * sampling::checkpointPositions, for feeds over a growing trace where
- * later windows' positions do not exist yet.
- */
-std::vector<InstCount>
-windowPositions(const DeloreanConfig &config, unsigned first, unsigned n)
-{
-    const auto &sched = config.schedule;
-    const auto horizons = config.scaledHorizons();
-    std::vector<InstCount> positions;
-    positions.reserve(std::size_t(n) * (horizons.size() + 1));
-    for (unsigned r = first; r < first + n; ++r) {
-        const InstCount ds = sched.detailedStart(r);
-        positions.push_back(sched.warmingStart(r));
-        for (const InstCount h : horizons)
-            positions.push_back(ds >= h ? ds - h : 0);
-    }
-    return positions;
-}
-
 } // namespace
 
-RegionWarm
-warmRegion(const ExplorerChain &chain,
-           const sampling::TraceCheckpointer &checkpoints,
-           const DeloreanConfig &config,
-           const cache::HierarchyConfig &scout_hier, unsigned r)
+DeloreanSession::DeloreanSession(DeloreanConfig config)
+    : DeloreanSession(std::vector<DeloreanConfig>{std::move(config)})
+{}
+
+DeloreanSession::DeloreanSession(
+    std::vector<DeloreanConfig> configs,
+    std::optional<cache::HierarchyConfig> shared_scout)
+    : configs_(std::move(configs)), shared_scout_(std::move(shared_scout))
 {
-    const auto &sched = config.schedule;
-    RegionWarm w;
-    auto scout_trace = checkpoints.at(sched.warmingStart(r));
-    w.keys = Scout::scan(*scout_trace, scout_hier, config.sim,
-                         sched.detailed_warming, sched.region_len);
-    w.explored = chain.explore(w.keys.linesNeedingExploration(),
-                               sched.detailedStart(r));
-    return w;
+    fatal_if(configs_.empty(), "DeloreanSession needs a configuration");
+    const DeloreanConfig &lead = configs_.front();
+    for (const auto &c : configs_) {
+        c.schedule.validate();
+        c.hier.validate();
+    }
+    if (shared_scout_)
+        shared_scout_->validate();
+
+    // Sharing the Scout/Explorer passes is an execution strategy:
+    // everything that shapes them must match, and the shared feed
+    // runs in the exact (in-order) mode. batch/runner.cc groups cells
+    // by the same criteria; this is the backstop for direct API users.
+    if (configs_.size() > 1 || shared_scout_) {
+        for (const auto &c : configs_) {
+            const auto &a = lead.schedule, &b = c.schedule;
+            fatal_if(a.num_regions != b.num_regions ||
+                         a.spacing != b.spacing ||
+                         a.region_len != b.region_len ||
+                         a.detailed_warming != b.detailed_warming,
+                     "DeloreanSession: configs disagree on the region "
+                     "schedule");
+            fatal_if(c.paper_horizons != lead.paper_horizons ||
+                         c.paper_vicinity_period !=
+                             lead.paper_vicinity_period,
+                     "DeloreanSession: configs disagree on Explorer "
+                     "geometry");
+            fatal_if(c.host_threads != lead.host_threads,
+                     "DeloreanSession: configs disagree on host_threads");
+            fatal_if(c.confidence > 0.0 || !c.livepoint_file.empty(),
+                     "DeloreanSession: shared passes require exact mode "
+                     "without live-points");
+        }
+    }
+
+    fatal_if(lead.target_error < 0.0,
+             "DeloreanConfig::target_error must be >= 0, got %g",
+             lead.target_error);
+    z_ = sampling::zForConfidence(lead.confidence > 0.0 ? lead.confidence
+                                                        : 95.0);
+
+    // Seeded Fisher-Yates shuffle in confidence mode: the window order
+    // is a pure function of window_seed, never of time or threads.
+    order_.resize(lead.schedule.num_regions);
+    std::iota(order_.begin(), order_.end(), 0u);
+    if (lead.confidence > 0.0) {
+        Rng rng(lead.window_seed);
+        for (std::size_t i = order_.size(); i > 1; --i)
+            std::swap(order_[i - 1], order_[rng.nextBounded(i)]);
+    }
+    ci_.resize(configs_.size());
 }
 
-RegionAnalysis
-analyzeRegion(const DeloreanConfig &config,
-              const sampling::TraceCheckpointer &checkpoints,
-              const KeySet &keys, const ExplorerResult &explored,
-              unsigned r)
+void
+DeloreanSession::bindBenchmark(const workload::TraceSource &master)
 {
+    if (benchmark_.empty()) {
+        benchmark_ = master.name();
+        return;
+    }
+    fatal_if(master.name() != benchmark_,
+             "DeloreanSession bound to benchmark '%s', fed trace '%s'",
+             benchmark_.c_str(), master.name().c_str());
+}
+
+void
+DeloreanSession::checkRoom(unsigned n) const
+{
+    fatal_if(stopped_,
+             "DeloreanSession: feeding windows after the stop rule "
+             "fired at %u of %u",
+             windowsFed(), windowsTotal());
+    fatal_if(windowsFed() + n > windowsTotal(),
+             "DeloreanSession: feeding %u windows past the %u-region "
+             "schedule (%u already fed)",
+             n, windowsTotal(), windowsFed());
+}
+
+sampling::TraceCheckpointer
+DeloreanSession::checkpointsFor(const workload::TraceSource &master,
+                                unsigned n) const
+{
+    checkRoom(n);
+    // Snapshot only the new windows' region range: nothing past its
+    // last regionEnd is read, so the master may be a partial prefix of
+    // a still-growing trace.
+    const auto next = order_.begin() + windowsFed();
+    const auto [lo, hi] = std::minmax_element(next, next + n);
+    sampling::TraceCheckpointer checkpoints(master);
+    checkpoints.prepare(sampling::checkpointPositions(
+        configs_.front().schedule, configs_.front().scaledHorizons(), *lo,
+        *hi + 1));
+    return checkpoints;
+}
+
+std::vector<RegionWarm>
+DeloreanSession::warmUp(const ExplorerChain &chain,
+                        const sampling::TraceCheckpointer &checkpoints,
+                        unsigned r) const
+{
+    const auto &sched = configs_.front().schedule;
+    const std::size_t n_scouts = shared_scout_ ? 1 : configs_.size();
+    std::vector<RegionWarm> warm(n_scouts);
+    std::vector<GroupExploreCell> cells(n_scouts);
+    for (std::size_t i = 0; i < n_scouts; ++i) {
+        auto scout_trace = checkpoints.at(sched.warmingStart(r));
+        warm[i].keys = Scout::scan(
+            *scout_trace, shared_scout_ ? *shared_scout_ : configs_[i].hier,
+            configs_[i].sim, sched.detailed_warming, sched.region_len);
+        cells[i].keys = warm[i].keys.linesNeedingExploration();
+    }
+    chain.exploreGroup(cells, sched.detailedStart(r));
+    for (std::size_t i = 0; i < n_scouts; ++i)
+        warm[i].explored = std::move(cells[i].result);
+    return warm;
+}
+
+DeloreanSession::Analysis
+DeloreanSession::analyze(std::size_t cell,
+                         const sampling::TraceCheckpointer &checkpoints,
+                         const RegionWarm &warm, unsigned r) const
+{
+    const DeloreanConfig &config = configs_[cell];
     const auto &sched = config.schedule;
     const InstCount region_total =
         sched.detailed_warming + sched.region_len;
 
-    RegionAnalysis out;
+    Analysis out;
     out.cost = profiling::HostCostAccount(config.scaledCost());
     auto trace = checkpoints.at(sched.warmingStart(r));
 
@@ -102,10 +192,11 @@ analyzeRegion(const DeloreanConfig &config,
     // timed simulation are charged to the Analyze bucket (they are
     // interleaved with it).
     const double solve_t0 = profiling::nowNs();
-    AnalystClassifier classifier(keys, explored, hier.llc(), assoc);
+    AnalystClassifier classifier(warm.keys, warm.explored, hier.llc(),
+                                 assoc);
     out.cost.measured().note(profiling::HotPhase::StatStackSolve,
                              profiling::nowNs() - solve_t0,
-                             Counter(explored.vicinity_samples));
+                             Counter(warm.explored.vicinity_samples));
 
     analyze_ns -= profiling::nowNs();
     out.stats = sim.simulate(*trace, sched.region_len, &classifier);
@@ -119,70 +210,54 @@ analyzeRegion(const DeloreanConfig &config,
     return out;
 }
 
-sampling::MethodResult
-finishResult(const DeloreanConfig &config, const std::string &benchmark,
-             const WarmupArtifacts &artifacts,
-             const std::vector<RegionAnalysis> &per_region,
-             InstCount covered_insts)
-{
-    const auto &sched = config.schedule;
-
-    sampling::MethodResult result;
-    result.method = "DeLorean";
-    result.benchmark = benchmark;
-    result.cost = profiling::HostCostAccount(config.scaledCost());
-    result.cost.merge(artifacts.cost);
-
-    PassCosts analyst_pass;
-    analyst_pass.name = "analyst";
-    for (const auto &region : per_region) {
-        analyst_pass.per_region_seconds.push_back(
-            region.cost.seconds());
-        result.cost.merge(region.cost);
-        result.addRegion(region.stats);
-    }
-
-    // Shared warm-up statistics surface in every analyzed result.
-    result.reuse_samples = artifacts.reuse_samples;
-    result.traps = artifacts.traps;
-    result.false_positives = artifacts.false_positives;
-    result.keys_by_explorer = artifacts.keys_by_explorer;
-    result.keys_total = artifacts.keys_total;
-    result.keys_explored = artifacts.keys_explored;
-    result.keys_unresolved = artifacts.keys_unresolved;
-    result.avg_explorers = artifacts.avg_explorers;
-    result.windows_total = sched.num_regions;
-    result.windows_replayed = per_region.size();
-
-    std::vector<PassCosts> pipeline = artifacts.passes;
-    pipeline.push_back(std::move(analyst_pass));
-    result.wall_seconds = pipelineWallSeconds(pipeline);
-    result.mips = profiling::modeledMips(covered_insts,
-                                         sched.scaleFactor(),
-                                         result.wall_seconds);
-    return result;
-}
-
-DeloreanSession::DeloreanSession(DeloreanConfig config)
-    : config_(std::move(config))
-{
-    config_.schedule.validate();
-    config_.hier.validate();
-    fatal_if(config_.confidence > 0.0,
-             "DeloreanSession requires exact mode (confidence == 0): "
-             "the shuffled early-stopping driver needs the whole trace");
-}
-
 void
-DeloreanSession::bindBenchmark(const workload::TraceSource &master)
+DeloreanSession::feed(const workload::TraceSource &master,
+                      const sampling::TraceCheckpointer &checkpoints,
+                      unsigned n, const std::vector<RegionWarm> *warm)
 {
-    if (benchmark_.empty()) {
-        benchmark_ = master.name();
+    if (n == 0)
         return;
+    bindBenchmark(master);
+    checkRoom(n);
+    fatal_if(warm && configs_.size() > 1 && !shared_scout_,
+             "DeloreanSession: warm state feeds need a single Scout");
+
+    // Chain geometry is a pure function of the config and the
+    // benchmark name, so rebuilding it per feed changes nothing.
+    const DeloreanConfig &lead = configs_.front();
+    ExplorerChain chain({lead.scaledHorizons(), lead.paper_horizons,
+                         lead.paper_vicinity_period,
+                         std::hash<std::string>{}(master.name())},
+                        checkpoints);
+
+    // Windows are independent: each fuses its warm-up and Analyst
+    // passes into one unit, and parallelMap folds by index, so results
+    // stay bit-identical under any host_threads.
+    const unsigned first = windowsFed();
+    auto windows = parallelMap(n, lead.host_threads, [&](std::size_t i) {
+        const unsigned r = order_[first + i];
+        Window w;
+        w.warm = warm ? std::vector<RegionWarm>{(*warm)[i]}
+                      : warmUp(chain, checkpoints, r);
+        for (std::size_t c = 0; c < configs_.size(); ++c)
+            w.analysis.push_back(
+                analyze(c, checkpoints, w.warm[scoutOf(c)], r));
+        return w;
+    });
+
+    // Fold in feed order; the stop rule may discard the batch's tail.
+    const std::uint64_t need =
+        std::max<std::uint64_t>(2, lead.min_windows);
+    for (auto &w : windows) {
+        if (stopped_)
+            break;
+        for (std::size_t c = 0; c < configs_.size(); ++c)
+            ci_[c].add(w.analysis[c].stats.cpi());
+        fed_.push_back(std::move(w));
+        stopped_ = lead.confidence > 0.0 && lead.target_error > 0.0 &&
+                   ci_.front().count() >= need &&
+                   ci_.front().relativeHalfWidth(z_) <= lead.target_error;
     }
-    fatal_if(master.name() != benchmark_,
-             "DeloreanSession bound to benchmark '%s', fed trace '%s'",
-             benchmark_.c_str(), master.name().c_str());
 }
 
 void
@@ -190,64 +265,15 @@ DeloreanSession::feedWindows(const workload::TraceSource &master,
                              const sampling::TraceCheckpointer &checkpoints,
                              unsigned n)
 {
-    if (n == 0)
-        return;
-    bindBenchmark(master);
-    const unsigned first = windowsFed();
-    fatal_if(first + n > windowsTotal(),
-             "DeloreanSession: feeding %u windows past the %u-region "
-             "schedule (%u already fed)",
-             n, windowsTotal(), first);
-
-    // Chain geometry is a pure function of the config and the
-    // benchmark name, so rebuilding it per feed changes nothing.
-    ExplorerChain chain({config_.scaledHorizons(),
-                         config_.paper_horizons,
-                         config_.paper_vicinity_period,
-                         std::hash<std::string>{}(master.name())},
-                        checkpoints);
-
-    // Windows are independent; fusing each window's warm-up and
-    // Analyst pass into one unit computes the same values the offline
-    // driver's two region-ordered fan-outs do, and parallelMap folds
-    // by index, so results stay bit-identical under any host_threads.
-    struct Window
-    {
-        RegionWarm warm;
-        RegionAnalysis analysis;
-    };
-    auto windows = parallelMap(
-        n, config_.host_threads, [&](std::size_t i) {
-            const unsigned r = first + unsigned(i);
-            Window w;
-            w.warm = warmRegion(chain, checkpoints, config_,
-                                config_.hier, r);
-            w.analysis = analyzeRegion(config_, checkpoints, w.warm.keys,
-                                       w.warm.explored, r);
-            return w;
-        });
-    for (auto &w : windows)
-        store(std::move(w.warm), std::move(w.analysis));
+    feed(master, checkpoints, n, nullptr);
 }
 
 void
 DeloreanSession::feedWindows(const workload::TraceSource &master,
                              unsigned n)
 {
-    if (n == 0)
-        return;
-    const unsigned first = windowsFed();
-    fatal_if(first + n > windowsTotal(),
-             "DeloreanSession: feeding %u windows past the %u-region "
-             "schedule (%u already fed)",
-             n, windowsTotal(), first);
-
-    // Snapshot only the new windows' positions: nothing past
-    // regionEnd(first + n - 1) is read, so the master may be a
-    // partial prefix of a still-growing trace.
-    sampling::TraceCheckpointer checkpoints(master);
-    checkpoints.prepare(windowPositions(config_, first, n));
-    feedWindows(master, checkpoints, n);
+    if (n != 0)
+        feed(master, checkpointsFor(master, n), n, nullptr);
 }
 
 void
@@ -256,65 +282,43 @@ DeloreanSession::feedWarmWindows(
     const sampling::TraceCheckpointer &checkpoints,
     const std::vector<RegionWarm> &warm)
 {
-    if (warm.empty())
-        return;
-    bindBenchmark(master);
-    const unsigned first = windowsFed();
-    const unsigned n = unsigned(warm.size());
-    fatal_if(first + n > windowsTotal(),
-             "DeloreanSession: feeding %u warm windows past the "
-             "%u-region schedule (%u already fed)",
-             n, windowsTotal(), first);
-
-    auto analyses = parallelMap(
-        n, config_.host_threads, [&](std::size_t i) {
-            return analyzeRegion(config_, checkpoints, warm[i].keys,
-                                 warm[i].explored, first + unsigned(i));
-        });
-    for (unsigned i = 0; i < n; ++i)
-        store(warm[i], std::move(analyses[i]));
+    feed(master, checkpoints, unsigned(warm.size()), &warm);
 }
 
 void
 DeloreanSession::feedWarmWindows(const workload::TraceSource &master,
                                  const std::vector<RegionWarm> &warm)
 {
-    if (warm.empty())
-        return;
-    const unsigned first = windowsFed();
     const unsigned n = unsigned(warm.size());
-    fatal_if(first + n > windowsTotal(),
-             "DeloreanSession: feeding %u warm windows past the "
-             "%u-region schedule (%u already fed)",
-             n, windowsTotal(), first);
-    sampling::TraceCheckpointer checkpoints(master);
-    checkpoints.prepare(windowPositions(config_, first, n));
-    feedWarmWindows(master, checkpoints, warm);
+    if (n != 0)
+        feed(master, checkpointsFor(master, n), n, &warm);
 }
 
-void
-DeloreanSession::store(RegionWarm warm, RegionAnalysis analysis)
+std::vector<RegionWarm>
+DeloreanSession::warmWindows(std::size_t cell) const
 {
-    ci_.add(analysis.stats.cpi());
-    warm_.push_back(std::move(warm));
-    analyses_.push_back(std::move(analysis));
+    std::vector<RegionWarm> warm;
+    warm.reserve(fed_.size());
+    for (const auto &w : fed_)
+        warm.push_back(w.warm[scoutOf(cell)]);
+    return warm;
 }
 
 SessionEstimate
-DeloreanSession::estimate() const
+DeloreanSession::estimate(std::size_t cell) const
 {
+    const sampling::RunningCI &ci = ci_[cell];
     SessionEstimate est;
     est.windows_fed = windowsFed();
     est.windows_total = windowsTotal();
-    est.mean_cpi = ci_.count() > 0 ? ci_.mean() : 0.0;
-    est.ci_error =
-        ci_.relativeHalfWidth(sampling::zForConfidence(95.0));
+    est.mean_cpi = ci.count() > 0 ? ci.mean() : 0.0;
+    est.ci_error = ci.relativeHalfWidth(z_);
 
     InstCount instructions = 0;
     Counter llc_misses = 0;
-    for (const auto &a : analyses_) {
-        instructions += a.stats.instructions;
-        llc_misses += a.stats.llcMisses();
+    for (const auto &w : fed_) {
+        instructions += w.analysis[cell].stats.instructions;
+        llc_misses += w.analysis[cell].stats.llcMisses();
     }
     est.mpki = instructions > 0
                    ? 1000.0 * double(llc_misses) / double(instructions)
@@ -325,11 +329,11 @@ DeloreanSession::estimate() const
     // StatStack miss ratio at a spread of cache sizes around the
     // configured LLC.
     statmodel::ReuseHistogram merged;
-    for (const auto &w : warm_)
-        merged.merge(w.explored.vicinity);
+    for (const auto &w : fed_)
+        merged.merge(w.warm[scoutOf(cell)].explored.vicinity);
     if (!merged.empty()) {
         const statmodel::StatStack stack(merged);
-        const std::uint64_t llc_size = config_.hier.llc.size;
+        const std::uint64_t llc_size = configs_[cell].hier.llc.size;
         for (const std::uint64_t size :
              {llc_size / 4, llc_size / 2, llc_size, 2 * llc_size,
               4 * llc_size}) {
@@ -343,43 +347,89 @@ DeloreanSession::estimate() const
 }
 
 sampling::MethodResult
-DeloreanSession::assemble(const DeloreanConfig &config,
+DeloreanSession::assemble(std::size_t cell, const DeloreanConfig &config,
                           InstCount covered_insts) const
 {
-    std::vector<KeySet> keys;
-    std::vector<ExplorerResult> explored;
-    keys.reserve(warm_.size());
-    explored.reserve(warm_.size());
-    for (const auto &w : warm_) {
-        keys.push_back(w.keys);
-        explored.push_back(w.explored);
+    // Fold in ascending region order whatever the feed order was: the
+    // exact path's folding order, which makes every feed order and
+    // every resume bit-identical.
+    std::vector<std::size_t> by_region(fed_.size());
+    std::iota(by_region.begin(), by_region.end(), std::size_t(0));
+    std::sort(by_region.begin(), by_region.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return order_[a] < order_[b];
+              });
+
+    std::vector<RegionWarm> warm;
+    for (const std::size_t i : by_region)
+        warm.push_back(fed_[i].warm[scoutOf(cell)]);
+    const WarmupArtifacts artifacts =
+        DeloreanMethod::assembleArtifacts(config, warm);
+
+    const auto &sched = config.schedule;
+    sampling::MethodResult result;
+    result.method = "DeLorean";
+    result.benchmark = benchmark_;
+    result.cost = profiling::HostCostAccount(config.scaledCost());
+    result.cost.merge(artifacts.cost);
+
+    PassCosts analyst_pass;
+    analyst_pass.name = "analyst";
+    for (const std::size_t i : by_region) {
+        const Analysis &a = fed_[i].analysis[cell];
+        analyst_pass.per_region_seconds.push_back(a.cost.seconds());
+        result.cost.merge(a.cost);
+        result.addRegion(a.stats);
     }
-    const WarmupArtifacts artifacts = DeloreanMethod::assembleArtifacts(
-        config, std::move(keys), std::move(explored));
-    return finishResult(config, benchmark_, artifacts, analyses_,
-                        covered_insts);
+
+    // Shared warm-up statistics surface in every analyzed result.
+    result.reuse_samples = artifacts.reuse_samples;
+    result.traps = artifacts.traps;
+    result.false_positives = artifacts.false_positives;
+    result.keys_by_explorer = artifacts.keys_by_explorer;
+    result.keys_total = artifacts.keys_total;
+    result.keys_explored = artifacts.keys_explored;
+    result.keys_unresolved = artifacts.keys_unresolved;
+    result.avg_explorers = artifacts.avg_explorers;
+    result.windows_total = sched.num_regions;
+    result.windows_replayed = fed_.size();
+
+    std::vector<PassCosts> pipeline = artifacts.passes;
+    pipeline.push_back(std::move(analyst_pass));
+    result.wall_seconds = pipelineWallSeconds(pipeline);
+    result.mips = profiling::modeledMips(covered_insts,
+                                         sched.scaleFactor(),
+                                         result.wall_seconds);
+    return result;
 }
 
 sampling::MethodResult
-DeloreanSession::partialResult() const
+DeloreanSession::partialResult(std::size_t cell) const
 {
     fatal_if(windowsFed() == 0,
              "DeloreanSession::partialResult before any fed window");
     // Per-window outputs never depend on num_regions, so assembling
     // under a schedule truncated to the fed windows reproduces a
     // fresh offline run of that shorter schedule bit for bit.
-    DeloreanConfig truncated = config_;
+    DeloreanConfig truncated = configs_[cell];
     truncated.schedule.num_regions = windowsFed();
-    return assemble(truncated, truncated.schedule.totalInstructions());
+    return assemble(cell, truncated,
+                    truncated.schedule.totalInstructions());
 }
 
 sampling::MethodResult
-DeloreanSession::finish() const
+DeloreanSession::finish(std::size_t cell) const
 {
-    fatal_if(windowsFed() != windowsTotal(),
-             "DeloreanSession::finish with %u of %u windows fed",
+    fatal_if(!done(), "DeloreanSession::finish with %u of %u windows fed",
              windowsFed(), windowsTotal());
-    return assemble(config_, config_.schedule.totalInstructions());
+    const DeloreanConfig &config = configs_[cell];
+    sampling::MethodResult result = assemble(
+        cell, config, config.schedule.spacing * InstCount(windowsFed()));
+    if (config.confidence > 0.0) {
+        result.confidence = config.confidence;
+        result.ci_error = ci_[cell].relativeHalfWidth(z_);
+    }
+    return result;
 }
 
 } // namespace delorean::core

@@ -71,10 +71,11 @@ TraceCheckpointer::at(InstCount pos) const
 
 std::vector<InstCount>
 checkpointPositions(const RegionSchedule &schedule,
-                    const std::vector<InstCount> &horizons)
+                    const std::vector<InstCount> &horizons,
+                    unsigned first, unsigned last)
 {
     std::vector<InstCount> positions;
-    for (unsigned r = 0; r < schedule.num_regions; ++r) {
+    for (unsigned r = first; r < last; ++r) {
         const InstCount ds = schedule.detailedStart(r);
         positions.push_back(schedule.warmingStart(r));
         for (const InstCount h : horizons)

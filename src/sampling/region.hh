@@ -89,10 +89,15 @@ class TraceCheckpointer
     std::map<InstCount, std::unique_ptr<workload::TraceSource>> snaps_;
 };
 
-/** All positions the DeLorean passes need for @p schedule. */
+/**
+ * Every position the DeLorean passes over regions [first, last) read
+ * from: warmingStart(r) for the Scout and Analyst, detailedStart(r)
+ * minus each Explorer horizon.
+ */
 std::vector<InstCount>
 checkpointPositions(const RegionSchedule &schedule,
-                    const std::vector<InstCount> &horizons);
+                    const std::vector<InstCount> &horizons,
+                    unsigned first, unsigned last);
 
 } // namespace delorean::sampling
 

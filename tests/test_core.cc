@@ -87,6 +87,17 @@ TEST(Scout, LukewarmFilterReducesExploration)
 
 // -------------------------------------------------------------- explorers
 
+/** One cell through the chain: exploration of @p keys alone. */
+ExplorerResult
+exploreAlone(const ExplorerChain &chain, std::vector<Addr> keys,
+             InstCount detailed_start)
+{
+    std::vector<GroupExploreCell> cells(1);
+    cells[0].keys = std::move(keys);
+    chain.exploreGroup(cells, detailed_start);
+    return std::move(cells[0].result);
+}
+
 TEST(Explorer, FindsExactBackwardDistances)
 {
     auto trace = workload::makeSpecTrace("gamess");
@@ -124,7 +135,7 @@ TEST(Explorer, FindsExactBackwardDistances)
     ExplorerChain chain({horizons, cfg.paper_horizons,
                          cfg.paper_vicinity_period, 1},
                         cp);
-    const auto res = chain.explore(keys, detailed_start);
+    const auto res = exploreAlone(chain, keys, detailed_start);
 
     for (const auto &[line, back] : res.back_distance) {
         ASSERT_TRUE(last_seen.count(line)) << line;
@@ -151,8 +162,8 @@ TEST(Explorer, ChainNarrowsAndStops)
                          cfg.paper_vicinity_period, 1},
                         cp);
     const auto res =
-        chain.explore(keys.linesNeedingExploration(),
-                      cfg.schedule.detailedStart(1));
+        exploreAlone(chain, keys.linesNeedingExploration(),
+                     cfg.schedule.detailedStart(1));
 
     // hmmer's reuses sit in the early bands: the chain must not engage
     // every explorer.
@@ -172,7 +183,8 @@ TEST(Explorer, NoKeysMeansNoEngagement)
     ExplorerChain chain({cfg.scaledHorizons(), cfg.paper_horizons,
                          cfg.paper_vicinity_period, 1},
                         cp);
-    const auto res = chain.explore({}, cfg.schedule.detailedStart(0));
+    const auto res =
+        exploreAlone(chain, {}, cfg.schedule.detailedStart(0));
     EXPECT_EQ(res.engaged, 0u);
     EXPECT_EQ(res.vicinity_samples, 0u);
 }
@@ -365,18 +377,6 @@ TEST(Delorean, ScaledHorizonsRespectFloorsAndSpacing)
     EXPECT_LE(h.back(), cfg.schedule.spacing);
     for (std::size_t i = 1; i < h.size(); ++i)
         EXPECT_GT(h[i], h[i - 1]);
-}
-
-TEST(Delorean, WarmupReusableAcrossAnalysts)
-{
-    auto trace = workload::makeSpecTrace("gamess");
-    const auto cfg = quickConfig();
-    sampling::TraceCheckpointer cp(*trace);
-    cp.prepare(DeloreanMethod::checkpointPositions(cfg));
-    const auto art = DeloreanMethod::warmup(*trace, cfg, cp, cfg.hier);
-    const auto once = DeloreanMethod::analyze(*trace, cfg, cp, art);
-    const auto twice = DeloreanMethod::analyze(*trace, cfg, cp, art);
-    EXPECT_DOUBLE_EQ(once.cpi(), twice.cpi());
 }
 
 // ---------------------------------------------------------------- golden

@@ -91,9 +91,15 @@ TEST(CheckpointPositions, CoverAllRegionsAndHorizons)
     s.num_regions = 3;
     s.spacing = 500'000;
     const auto positions =
-        checkpointPositions(s, {100'000, 400'000});
+        checkpointPositions(s, {100'000, 400'000}, 0, s.num_regions);
     // 3 regions x (warmingStart + 2 horizons).
     EXPECT_EQ(positions.size(), 9u);
+
+    // A region range covers just its own windows' positions.
+    const auto tail =
+        checkpointPositions(s, {100'000, 400'000}, 1, s.num_regions);
+    EXPECT_EQ(tail, std::vector<InstCount>(positions.begin() + 3,
+                                           positions.end()));
 }
 
 // ---------------------------------------------------------------- methods

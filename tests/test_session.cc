@@ -16,13 +16,19 @@
  *  - a truncated trace holding only regionEnd(k) instructions can
  *    feed exactly its k complete windows (the streaming feed policy);
  *  - estimate() reports the fed/total window counts and a 95% CI
- *    half-width that is 0 until two windows exist.
+ *    half-width that is 0 until two windows exist;
+ *  - a confidence-mode session fed one window at a time stops where
+ *    DeloreanMethod::run does, with the same result;
+ *  - a session carrying several configs equals one solo session per
+ *    config, cell by cell;
+ *  - only a region-order prefix of fed windows can be suspended.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "checkpoint/livepoint.hh"
 #include "core/delorean.hh"
@@ -219,6 +225,59 @@ TEST(Session, EstimateTracksWindowsAndCi)
     EXPECT_EQ(est.windows_fed, 3u);
     EXPECT_GT(est.mean_cpi, 0.0);
     EXPECT_GT(est.ci_error, 0.0);
+}
+
+/** Eight windows, 95% confidence, a loose bound that stops early. */
+DeloreanConfig
+earlyStopConfig()
+{
+    DeloreanConfig config = tinyConfig(8);
+    config.confidence = 95.0;
+    config.target_error = 0.5;
+    config.min_windows = 2;
+    return config;
+}
+
+TEST(Session, ConfidenceModeOneAtATimeEqualsRun)
+{
+    const DeloreanConfig config = earlyStopConfig();
+    DeloreanSession session(config);
+    const auto master = workload::makeTrace(benchmark);
+    while (!session.done())
+        session.feedWindows(*master, 1);
+
+    EXPECT_LT(session.windowsFed(), session.windowsTotal());
+    EXPECT_EQ(session.finish(), offlineRun(config));
+}
+
+TEST(Session, GroupedSessionEqualsSoloSessions)
+{
+    std::vector<DeloreanConfig> configs;
+    for (const std::uint64_t mib : {1, 2, 4}) {
+        configs.push_back(tinyConfig());
+        configs.back().hier.llc.size = mib * 1024 * 1024;
+    }
+    const auto master = workload::makeTrace(benchmark);
+    DeloreanSession grouped(configs);
+    grouped.feedWindows(*master, grouped.windowsTotal());
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        DeloreanSession solo(configs[i]);
+        solo.feedWindows(*master, solo.windowsTotal());
+        EXPECT_EQ(grouped.finish(i), solo.finish()) << "cell " << i;
+    }
+}
+
+TEST(Session, SuspendRejectsWindowsOutOfRegionOrder)
+{
+    DeloreanConfig config = earlyStopConfig();
+    config.target_error = 0.0; // never stop
+    DeloreanSession session(config);
+    ASSERT_NE(session.windowOrder().front(), 0u)
+        << "the seed's shuffle must move region 0";
+    session.feedWindows(*workload::makeTrace(benchmark), 1);
+    EXPECT_THROW((void)checkpoint::sessionLivePoints(session, benchmark),
+                 checkpoint::CheckpointError);
 }
 
 } // namespace

@@ -1,22 +1,18 @@
 /**
  * @file
- * Tests for the host-parallel execution engine: the bounded channel,
- * the thread pool, and the bit-identical equivalence of every parallel
- * path (threaded pipeline, region fan-out, DSE Analyst fan-out) with
- * serial execution.
+ * Tests for the host-parallel execution engine: the thread pool, and
+ * the bit-identical equivalence of every parallel path (region fan-out
+ * of solo and DSE sessions) with serial execution.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "core/dse.hh"
 #include "core/parallel.hh"
-#include "core/threaded_pipeline.hh"
 #include "sampling/metrics.hh"
 #include "workload/spec_profiles.hh"
 
@@ -74,82 +70,6 @@ expectIdenticalResults(const sampling::MethodResult &a,
     // covers every field, including ones added after the itemized
     // expectations above (which exist for failure diagnostics).
     EXPECT_TRUE(a == b);
-}
-
-// ---------------------------------------------------------------- channel
-
-TEST(BoundedChannel, FifoOrder)
-{
-    BoundedChannel<int> ch(8);
-    for (int i = 0; i < 5; ++i)
-        ch.push(i);
-    ch.close();
-    for (int i = 0; i < 5; ++i) {
-        const auto v = ch.pop();
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, i);
-    }
-    EXPECT_FALSE(ch.pop().has_value());
-}
-
-TEST(BoundedChannel, PopBlocksUntilPush)
-{
-    BoundedChannel<int> ch(2);
-    std::atomic<bool> got{false};
-    std::thread consumer([&] {
-        const auto v = ch.pop();
-        EXPECT_TRUE(v.has_value());
-        EXPECT_EQ(*v, 42);
-        got = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(got.load());
-    ch.push(42);
-    consumer.join();
-    EXPECT_TRUE(got.load());
-}
-
-TEST(BoundedChannel, PushBlocksWhenFull)
-{
-    BoundedChannel<int> ch(1);
-    ch.push(1);
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        ch.push(2); // blocks until a pop frees a slot
-        pushed = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(pushed.load());
-    EXPECT_EQ(*ch.pop(), 1);
-    producer.join();
-    EXPECT_TRUE(pushed.load());
-    EXPECT_EQ(*ch.pop(), 2);
-}
-
-TEST(BoundedChannel, CloseWakesConsumer)
-{
-    BoundedChannel<int> ch(2);
-    std::thread consumer([&] {
-        EXPECT_FALSE(ch.pop().has_value());
-    });
-    ch.close();
-    consumer.join();
-}
-
-TEST(BoundedChannel, ProducerConsumerStress)
-{
-    BoundedChannel<int> ch(3);
-    constexpr int n = 10000;
-    long long sum = 0;
-    std::thread producer([&] {
-        for (int i = 0; i < n; ++i)
-            ch.push(i);
-        ch.close();
-    });
-    while (auto v = ch.pop())
-        sum += *v;
-    producer.join();
-    EXPECT_EQ(sum, (long long)n * (n - 1) / 2);
 }
 
 // ------------------------------------------------------------ thread pool
@@ -233,54 +153,6 @@ TEST(ParallelMap, SharedPoolAcrossBatches)
     EXPECT_EQ(total, 5LL * 4950 + 100LL * (0 + 1 + 2 + 3 + 4));
 }
 
-// ----------------------------------------------------------- equivalence
-
-class ThreadedEquivalence : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(ThreadedEquivalence, MatchesSerialExactly)
-{
-    auto trace = workload::makeSpecTrace(GetParam());
-    DeloreanConfig cfg;
-    cfg.schedule.num_regions = 3;
-    cfg.schedule.spacing = 500'000;
-    cfg.hier.llc.size = 2 * MiB;
-
-    const auto serial = DeloreanMethod::run(*trace, cfg);
-    const auto threaded = ThreadedTimeTravel::run(*trace, cfg);
-
-    // The threaded pipeline parallelizes host execution only: every
-    // statistic must match the serial path exactly.
-    EXPECT_DOUBLE_EQ(serial.cpi(), threaded.cpi());
-    EXPECT_DOUBLE_EQ(serial.mpki(), threaded.mpki());
-    EXPECT_EQ(serial.reuse_samples, threaded.reuse_samples);
-    EXPECT_EQ(serial.traps, threaded.traps);
-    EXPECT_EQ(serial.keys_total, threaded.keys_total);
-    EXPECT_EQ(serial.keys_explored, threaded.keys_explored);
-    EXPECT_EQ(serial.keys_unresolved, threaded.keys_unresolved);
-    EXPECT_DOUBLE_EQ(serial.avg_explorers, threaded.avg_explorers);
-    EXPECT_DOUBLE_EQ(serial.wall_seconds, threaded.wall_seconds);
-    for (int k = 0; k < 4; ++k) {
-        EXPECT_EQ(serial.keys_by_explorer[std::size_t(k)],
-                  threaded.keys_by_explorer[std::size_t(k)])
-            << k;
-    }
-    ASSERT_EQ(serial.regions.size(), threaded.regions.size());
-    for (std::size_t r = 0; r < serial.regions.size(); ++r) {
-        EXPECT_DOUBLE_EQ(serial.regions[r].cycles,
-                         threaded.regions[r].cycles)
-            << r;
-        EXPECT_EQ(serial.regions[r].llcMisses(),
-                  threaded.regions[r].llcMisses())
-            << r;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Benchmarks, ThreadedEquivalence,
-                         ::testing::Values("gamess", "bzip2", "mcf"),
-                         [](const auto &info) { return info.param; });
-
 // ------------------------------------------------------- region fan-out
 
 TEST(RegionParallel, MethodBitIdenticalAcrossThreadCounts)
@@ -342,18 +214,6 @@ TEST(Determinism, RepeatedRunsAreByteIdentical)
 
     expectIdenticalResults(DeloreanMethod::run(*trace, cfg),
                            DeloreanMethod::run(*trace, cfg));
-}
-
-TEST(Determinism, RepeatedThreadedRunsAreByteIdentical)
-{
-    auto trace = workload::makeSpecTrace("astar");
-    DeloreanConfig cfg;
-    cfg.schedule.num_regions = 3;
-    cfg.schedule.spacing = 500'000;
-    cfg.hier.llc.size = 2 * MiB;
-
-    expectIdenticalResults(ThreadedTimeTravel::run(*trace, cfg),
-                           ThreadedTimeTravel::run(*trace, cfg));
 }
 
 } // namespace
