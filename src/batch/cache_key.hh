@@ -36,6 +36,13 @@
  * enough for a filename, wide enough that collisions are not a
  * realistic concern at any batch size we run.
  *
+ * A file-backed workload's content enters that sequence as
+ * u64(size), then the file's XXH64 digest (base/xxh64.hh) under each
+ * of the two FNV offset bases as seed. XXH64 runs at memory speed,
+ * where byte-serial FNV-1a over the whole file did not. Adopting it
+ * moved every file:/champsim: key once (the file-key golden pin in
+ * tests/test_batch.cc records the move); spec keys did not move.
+ *
  * batch_code_version is hashed into every key; bump it whenever the
  * result serialization (result_io.hh) or any method's semantics change
  * so stale cache entries miss instead of poisoning new runs. A golden

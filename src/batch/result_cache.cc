@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -22,6 +23,10 @@ namespace
 
 constexpr const char *entry_suffix = ".res";
 constexpr const char *stats_name = "stats.tsv";
+
+// recordRun's read-modify-write of stats.tsv, serialized within the
+// process: the daemon's drain loops record finished jobs concurrently.
+std::mutex stats_mutex;
 
 /**
  * Unique temp suffix: hostname + pid disambiguates concurrent shards
@@ -229,6 +234,7 @@ ResultCache::gc(const std::unordered_set<std::string> &keep) const
 void
 ResultCache::recordRun(std::uint64_t executed, std::uint64_t cached) const
 {
+    const std::lock_guard<std::mutex> lock(stats_mutex);
     RunStats s = stats();
     s.last_run_executed = executed;
     s.last_run_cached = cached;

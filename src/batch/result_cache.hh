@@ -25,8 +25,9 @@
  * longer references.
  *
  * RunStats counters are best-effort bookkeeping for `batch_run
- * status`, not a synchronization mechanism: concurrent shards may lose
- * increments. Result files themselves are always safe.
+ * status`, not a synchronization mechanism: recordRun() calls within
+ * one process are serialized, but concurrent shard *processes* may
+ * lose increments. Result files themselves are always safe.
  */
 
 #ifndef DELOREAN_BATCH_RESULT_CACHE_HH
@@ -109,7 +110,10 @@ class ResultCache
      */
     std::size_t gc(const std::unordered_set<std::string> &keep) const;
 
-    /** Fold one run's counts into stats.tsv (best effort). */
+    /**
+     * Fold one run's counts into stats.tsv (best effort across
+     * processes; exact across threads of one process).
+     */
     void recordRun(std::uint64_t executed, std::uint64_t cached) const;
 
     /** Current counters (zeros if no run recorded yet). */

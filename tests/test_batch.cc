@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the batch execution subsystem (src/batch/): content
- * cache-key recipe (golden pin + sensitivity), versioned MethodResult
- * serialization (exact round trip, corrupt-input robustness), the
- * persistent result cache (store/load/gc, corruption as a miss),
+ * cache-key recipe (golden pins + sensitivity, the file content
+ * digest), versioned MethodResult serialization (exact round trip,
+ * corrupt-input robustness), the persistent result cache
+ * (store/load/gc, corruption and torn entries as a miss),
  * manifest parsing, and the BatchRunner guarantees — cached and
  * sharded execution bit-identical (MethodResult::operator==) to
  * direct serial runs, with a fully cached second run executing zero
@@ -14,13 +15,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "base/logging.hh"
 #include "base/units.hh"
+#include "base/xxh64.hh"
 #include "batch/error.hh"
 #include "batch/runner.hh"
 #include "core/delorean.hh"
@@ -216,6 +220,13 @@ TEST(CacheKey, FileWorkloadKeyedByContentNotPath)
     const auto cfg = tinyConfig();
     const CacheKey ka = cellKey("file:" + a.path, "delorean", cfg);
     const CacheKey kb = cellKey("file:" + b.path, "delorean", cfg);
+    // Golden pin of a file-backed cell key: the recording is
+    // deterministic, so this moves only with the content-digest recipe.
+    // Pin history: 8a17c7916abdf031986e1610056493dc while the content
+    // digest was byte-serial FNV-1a. Adopting the XXH64 content digest
+    // (docs/batch.md) moved every file:/champsim: key once; spec keys
+    // (GoldenDefaultConfigPin) did not move.
+    EXPECT_EQ(ka.hex(), "b05a1d5af11cf205d3137693d44bd25b");
     // Identical content at different paths is the same workload...
     EXPECT_EQ(ka, kb);
 
@@ -231,6 +242,45 @@ TEST(CacheKey, FileWorkloadKeyedByContentNotPath)
 
     EXPECT_THROW(cellKey("file:/nonexistent/trace.dlt", "delorean", cfg),
                  BatchError);
+}
+
+// The file digest is XXH64 of the content under the key halves' two
+// offset bases, folded in after the size: the 64 KiB reads of the
+// file path give the same digest as the same bytes fed in uneven
+// chunks, and both equal libxxhash's one-shot XXH64 (test_base.cc).
+TEST(CacheKey, FileDigestIsXxh64OfContentInAnyChunking)
+{
+    TempPath file("digest");
+    std::string bytes(200'003, '\0'); // > 3 reads of 64 KiB
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = char(std::uint8_t(i * 131 + 7));
+    writeFile(file.path, bytes);
+
+    const std::uint64_t seed_hi = 14695981039346656037ull;
+    const std::uint64_t seed_lo = 0x9e3779b97f4a7c15ull;
+    const auto recipe = [&](std::uint64_t hi, std::uint64_t lo) {
+        return KeyBuilder()
+            .str("workload-file")
+            .str("file")
+            .u64(bytes.size())
+            .u64(hi)
+            .u64(lo)
+            .key();
+    };
+    const CacheKey key = workloadIdentity("file:" + file.path);
+    // libxxhash 0.8.1: XXH64(bytes, 200003, seed_hi / seed_lo).
+    EXPECT_EQ(key, recipe(0xc2cb61fc9d85cfedull, 0x6609ff579bbc16e0ull));
+
+    for (const std::size_t chunk :
+         {std::size_t(1), std::size_t(7), std::size_t(31), std::size_t(33),
+          std::size_t(65535), std::size_t(65537)}) {
+        Xxh64Pair digest({seed_hi, seed_lo});
+        for (std::size_t off = 0; off < bytes.size(); off += chunk)
+            digest.update(bytes.data() + off,
+                          std::min(chunk, bytes.size() - off));
+        const auto [hi, lo] = digest.digest();
+        EXPECT_EQ(recipe(hi, lo), key) << "chunk=" << chunk;
+    }
 }
 
 // ---------------------------------------------------------- result I/O
@@ -385,6 +435,47 @@ TEST(ResultCache, CorruptEntryIsAMissNotAnError)
     const auto result = tinyResult();
     cache.store(key, result);
     EXPECT_EQ(*cache.load(key), result);
+
+    // Torn writes: an entry cut at every byte offset, or grown by one
+    // junk byte, is a miss through both loaders — never a throw, never
+    // a wrong answer.
+    const std::string entry = dir.path + "/" + key.hex() + ".res";
+    const std::string good = *cache.loadBytes(key);
+    const auto expectMiss = [&](const std::string &bytes,
+                                const std::string &what) {
+        writeFile(entry, bytes);
+        setLogQuiet(true);
+        EXPECT_NO_THROW({
+            EXPECT_FALSE(cache.load(key).has_value()) << what;
+            EXPECT_FALSE(cache.loadBytes(key).has_value()) << what;
+        }) << what;
+        setLogQuiet(false);
+    };
+    for (std::size_t cut = 0; cut < good.size(); ++cut)
+        expectMiss(good.substr(0, cut), "cut at " + std::to_string(cut));
+    expectMiss(good + 'x', "one junk byte appended");
+
+    // A batch run over a torn entry re-executes the cell and repairs
+    // the entry to exactly a fresh run's result.
+    const BatchPlan plan({"bzip2"}, {{"tiny", tinyConfig()}},
+                         {{"tiny", tinyConfig().schedule}}, {"delorean"});
+    ASSERT_EQ(plan.cells().size(), 1u);
+    ASSERT_EQ(plan.cells()[0].key, key);
+    BatchOptions opt;
+    opt.cache_dir = dir.path;
+    for (const std::string &torn :
+         {good.substr(0, good.size() / 2), good + 'x'}) {
+        writeFile(entry, torn);
+        setLogQuiet(true);
+        const auto report = BatchRunner::run(plan, opt);
+        setLogQuiet(false);
+        EXPECT_EQ(report.executed, 1u);
+        EXPECT_EQ(report.cache_hits, 0u);
+        ASSERT_TRUE(cache.load(key).has_value());
+        EXPECT_TRUE(cache.loadBytes(key).has_value());
+        // operator== ignores the measured timings the bytes carry.
+        EXPECT_EQ(*cache.load(key), result);
+    }
 }
 
 TEST(ResultCache, RunStatsAccumulate)
@@ -400,6 +491,24 @@ TEST(ResultCache, RunStatsAccumulate)
     EXPECT_EQ(s.last_run_cached, 4u);
     EXPECT_EQ(s.total_executed, 6u);
     EXPECT_EQ(s.total_cached, 4u);
+
+    // Concurrent calls within one process (the daemon's drain loops
+    // finishing jobs at once) must not lose increments to interleaved
+    // read-modify-writes of stats.tsv.
+    TempPath shared_dir("stats_mt");
+    const ResultCache shared(shared_dir.path);
+    constexpr int calls = 500;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t)
+        threads.emplace_back([&shared] {
+            for (int i = 0; i < calls; ++i)
+                shared.recordRun(1, 2);
+        });
+    for (auto &thread : threads)
+        thread.join();
+    const auto m = shared.stats();
+    EXPECT_EQ(m.total_executed, 2u * calls);
+    EXPECT_EQ(m.total_cached, 4u * calls);
 }
 
 TEST(ResultCache, MalformedStatsRowsWarnAndReadAsZeros)
