@@ -7,9 +7,10 @@
  * line pick), and `x % bound` with a runtime divisor compiles to a
  * hardware divide — 20-40 cycles on current x86-64, by far the most
  * expensive single instruction in the Explorer replay decode loop
- * (bench_report). Every one of those divisors is loop-invariant (a
- * working-set size, a table size), so the division can be turned into
- * two or three multiplications with a precomputed reciprocal.
+ * (stackbench's core.explorer_replay_ms). Every one of those divisors
+ * is loop-invariant (a working-set size, a table size), so the
+ * division can be turned into two or three multiplications with a
+ * precomputed reciprocal.
  *
  * This is the direct-computation method of Lemire, Kaser and Kurz
  * ("Faster Remainder by Direct Computation", 2019) at 64/128-bit

@@ -2,12 +2,11 @@
  * @file
  * Minimal JSON string-literal escaping.
  *
- * The library emits JSON from exactly two places — `tools/batch_run
- * --json` and the bench report writer (`bench/perf_harness.cc`) — and
- * both embed workload *specs*, which can contain anything a file path
- * can (`file:/tmp/a"b.dlt` is legal). This is the one shared helper
- * they need; full JSON serialization stays hand-rolled at the call
- * sites, where the fixed shape keeps `%.17g` round-tripping obvious.
+ * The library emits JSON from one place, `tools/batch_run --json`,
+ * and it embeds workload *specs*, which can contain anything a file
+ * path can (`file:/tmp/a"b.dlt` is legal). Full JSON serialization
+ * stays hand-rolled at the call site, where the fixed shape keeps
+ * `%.17g` round-tripping obvious.
  */
 
 #ifndef DELOREAN_BASE_JSON_HH

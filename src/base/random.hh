@@ -59,7 +59,8 @@ class Rng
     // The draw primitives below are defined in the header on purpose:
     // the synthetic trace generator makes one to three draws per
     // generated instruction, which makes cross-TU call overhead a
-    // measurable slice of the Explorer replay phase (bench_report).
+    // measurable slice of the Explorer replay phase (stackbench's
+    // core.explorer_replay_ms).
 
     /** @return next raw 64-bit value. */
     std::uint64_t

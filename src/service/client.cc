@@ -1,12 +1,13 @@
 #include "service/client.hh"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <iomanip>
 #include <sstream>
-#include <thread>
 
 #include "batch/error.hh"
 #include "batch/plan.hh"
@@ -287,6 +288,15 @@ ServiceClient::jobDone(std::uint64_t job)
     return jobStatus(job).complete();
 }
 
+JobStatus
+ServiceClient::waitJob(std::uint64_t job, unsigned timeout_ms)
+{
+    return parseJobStatusLine(
+        call(protocol::Opcode::Wait,
+             "job=" + std::to_string(job) +
+                 " timeout_ms=" + std::to_string(timeout_ms)));
+}
+
 bool
 ServiceClient::waitForJob(std::uint64_t job, double timeout_s)
 {
@@ -294,22 +304,27 @@ ServiceClient::waitForJob(std::uint64_t job, double timeout_s)
     const auto deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(timeout_s));
-    unsigned attempt = 0;
     for (;;) {
-        if (jobDone(job))
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - Clock::now());
+        const auto slice = std::clamp<std::chrono::milliseconds::rep>(
+            left.count(), 0, protocol::max_wait_ms);
+        if (waitJob(job, unsigned(slice)).complete())
             return true;
         if (Clock::now() >= deadline)
             return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            pollBackoffMs(attempt++, poll_base_ms, poll_cap_ms, job)));
     }
 }
 
 ServiceClient::LeaseInfo
-ServiceClient::lease(const std::string &worker_name)
+ServiceClient::lease(const std::string &worker_name, unsigned wait_ms)
 {
-    const std::string body =
-        worker_name.empty() ? "" : "worker=" + worker_name + "\n";
+    std::string body = worker_name.empty() ? "" : "worker=" + worker_name;
+    if (wait_ms > 0)
+        body += (body.empty() ? "wait_ms=" : " wait_ms=") +
+                std::to_string(wait_ms);
+    if (!body.empty())
+        body += "\n";
     const std::string reply = call(protocol::Opcode::Lease, body);
 
     LeaseInfo info;
@@ -694,6 +709,8 @@ ServiceClient::stats()
             else if (token.rfind("spool_processed=", 0) == 0)
                 info.spool_processed =
                     batch::parseCount(token.substr(16));
+            else if (token.rfind("parked=", 0) == 0)
+                info.parked = batch::parseCount(token.substr(7));
             else if (token.rfind("cells_total=", 0) == 0)
                 info.fleet_stats.cells_total =
                     batch::parseCount(token.substr(12));
@@ -752,6 +769,12 @@ void
 ServiceClient::shutdown()
 {
     (void)call(protocol::Opcode::Shutdown, "");
+}
+
+void
+ServiceClient::interrupt()
+{
+    (void)::shutdown(fd_, SHUT_RDWR);
 }
 
 } // namespace delorean::service

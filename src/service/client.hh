@@ -112,16 +112,24 @@ struct ServiceStats
     std::uint64_t running = 0;
     std::uint64_t spool_processed = 0;
 
+    /** Requests parked right now (both servers): WAITs, plus LEASE
+     *  wait_ms and STREAM-CLOSE on a coordinator. */
+    std::uint64_t parked = 0;
+
     FleetStats fleet_stats; //!< meaningful when fleet
 };
 
 /**
- * Delay before poll attempt @p attempt (0-based): capped exponential
- * backoff with deterministic jitter. The base doubles per attempt and
- * saturates at @p cap_ms; jitter only ever *subtracts* (up to a
- * quarter of the delay), so the cap is a true upper bound — the
- * property tests/test_service.cc pins. @p seed decorrelates concurrent
- * pollers (e.g. the job id) without any global RNG state.
+ * Delay before retry @p attempt (0-based): capped exponential
+ * backoff with deterministic jitter, for the loops that still retry
+ * on a timer — a worker reconnecting after a ServiceError and the
+ * CLI's `stream --tail` STATUS polls. Job waits and idle workers
+ * park on the server instead (WAIT, LEASE wait_ms). The base doubles
+ * per attempt and saturates at @p cap_ms; jitter only ever
+ * *subtracts* (up to a quarter of the delay), so the cap is a true
+ * upper bound — the property tests/test_service.cc pins. @p seed
+ * decorrelates concurrent pollers (e.g. the job id) without any
+ * global RNG state.
  */
 unsigned pollBackoffMs(unsigned attempt, unsigned base_ms,
                        unsigned cap_ms, std::uint64_t seed);
@@ -189,13 +197,28 @@ class ServiceClient
     bool jobDone(std::uint64_t job);
 
     /**
-     * Poll jobDone with pollBackoffMs delays until the job completes
-     * or @p timeout_s elapses. @return true when the job finished.
+     * One WAIT: the server parks the request until the job is
+     * terminal or @p timeout_ms passes (clamped to
+     * protocol::max_wait_ms). @return the job's status then.
+     */
+    JobStatus waitJob(std::uint64_t job, unsigned timeout_ms);
+
+    /**
+     * WAIT in protocol::max_wait_ms slices until the job completes
+     * or @p timeout_s elapses — no client-side sleeping, so a job
+     * that finishes in 1 ms returns in about 1 ms. @return true when
+     * the job finished.
      */
     bool waitForJob(std::uint64_t job, double timeout_s);
 
-    /** Pull one work unit from a coordinator (fleet workers only). */
-    LeaseInfo lease(const std::string &worker_name = "");
+    /**
+     * Pull one work unit from a coordinator (fleet workers only).
+     * With @p wait_ms > 0 the coordinator parks the request until a
+     * unit is ready, a stream window becomes leasable or the wait
+     * passes; 0 answers at once.
+     */
+    LeaseInfo lease(const std::string &worker_name = "",
+                    unsigned wait_ms = 0);
 
     /** Extend a live lease. @return the fresh validity in ms. */
     unsigned renew(std::uint64_t lease);
@@ -316,7 +339,16 @@ class ServiceClient
     /** Ask the daemon to drain and exit. */
     void shutdown();
 
-    /** waitForJob's backoff band: 25 ms doubling up to 1 s. */
+    /**
+     * Make a call blocked on this connection in another thread (a
+     * parked LEASE) fail at once with ServiceError, via shutdown(2).
+     * The connection is dead afterwards; only the destructor may
+     * follow.
+     */
+    void interrupt();
+
+    /** pollBackoffMs band of the timer-driven retries: 25 ms doubling
+     *  up to 1 s. */
     static constexpr unsigned poll_base_ms = 25;
     static constexpr unsigned poll_cap_ms = 1000;
 

@@ -97,11 +97,10 @@ Coordinator::~Coordinator()
 void
 Coordinator::requestShutdown()
 {
-    {
-        std::lock_guard<std::mutex> lock(shutdown_mutex_);
-        shutdown_ = true;
-    }
-    shutdown_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    shutdown_ = true;
+    work_cv_.notify_all();
+    done_cv_.notify_all();
 }
 
 void
@@ -119,9 +118,10 @@ Coordinator::run()
                      "lease %u ms)\n",
                      config_.socket_path.c_str(), cache_.dir().c_str(),
                      config_.lease_ms);
-    std::unique_lock<std::mutex> lock(shutdown_mutex_);
-    shutdown_cv_.wait(lock, [&] { return shutdown_; });
-    // ~SocketServer stops accepting and joins connections.
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] { return shutdown_; });
+    // The lock drops first; then ~SocketServer stops accepting and
+    // joins connections, whose parked requests shutdown_ released.
 }
 
 Coordinator::Counters
@@ -144,6 +144,8 @@ Coordinator::handle(const protocol::Request &request,
         return handleResult(request.body);
       case protocol::Opcode::Stats:
         return handleStats();
+      case protocol::Opcode::Wait:
+        return handleWait(request.body);
       case protocol::Opcode::Lease:
         return handleLease(request.body);
       case protocol::Opcode::Renew:
@@ -198,6 +200,29 @@ Coordinator::enqueueUnitLocked(Unit unit)
     ready_.push_back(std::move(unit));
     std::push_heap(ready_.begin(), ready_.end(), UnitBelow{});
     counters_.units_ready = ready_.size();
+    work_cv_.notify_all();
+}
+
+void
+Coordinator::armDeadlineLocked(Lease &lease)
+{
+    lease.deadline =
+        Clock::now() + std::chrono::milliseconds(config_.lease_ms);
+    // Parked LEASEs sleep until the earliest deadline, to sweep it
+    // the moment it passes; an earlier one must re-arm them.
+    if (deadlines_.empty() || lease.deadline < deadlines_.top().first)
+        work_cv_.notify_all();
+    deadlines_.emplace(lease.deadline, lease.id);
+}
+
+void
+Coordinator::parkLocked(std::condition_variable &cv,
+                        std::unique_lock<std::mutex> &lock,
+                        Clock::time_point until)
+{
+    ++counters_.parked;
+    cv.wait_until(lock, until);
+    --counters_.parked;
 }
 
 protocol::Reply
@@ -321,10 +346,38 @@ Coordinator::handleLease(const std::string &body)
     const auto tokens = headerTokens(body);
     const std::string worker =
         tokenValue(tokens, "worker").value_or("");
+    const auto wait_text = tokenValue(tokens, "wait_ms");
+    const unsigned wait_ms =
+        wait_text ? protocol::parseWaitMs(*wait_text) : 0;
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    sweepExpiredLocked(Clock::now());
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto until =
+        Clock::now() + std::chrono::milliseconds(wait_ms);
+    for (;;) {
+        const auto now = Clock::now();
+        sweepExpiredLocked(now);
+        if (auto reply = grantUnitLocked(worker))
+            return std::move(*reply);
+        // "none" also when a stream window is leasable: the worker's
+        // STREAM-LEASE takes it next.
+        if (shutdown_ || now >= until ||
+            std::any_of(streams_.begin(), streams_.end(),
+                        [](const auto &entry) {
+                            return entry.second.leasable().has_value();
+                        }))
+            return protocol::Reply::success("none\n");
+        // Sleep to the earliest lease deadline at most: its expiry
+        // re-queues a unit with no other request arriving.
+        parkLocked(work_cv_, lock,
+                   deadlines_.empty()
+                       ? until
+                       : std::min(until, deadlines_.top().first));
+    }
+}
 
+std::optional<protocol::Reply>
+Coordinator::grantUnitLocked(const std::string &worker)
+{
     while (!ready_.empty()) {
         std::pop_heap(ready_.begin(), ready_.end(), UnitBelow{});
         Unit unit = std::move(ready_.back());
@@ -354,9 +407,7 @@ Coordinator::handleLease(const std::string &body)
         lease.id = next_lease_++;
         lease.unit = std::move(live);
         lease.worker = worker;
-        lease.deadline =
-            Clock::now() + std::chrono::milliseconds(config_.lease_ms);
-        deadlines_.emplace(lease.deadline, lease.id);
+        armDeadlineLocked(lease);
         ++counters_.leases_granted;
         ++counters_.units_leased;
 
@@ -382,7 +433,7 @@ Coordinator::handleLease(const std::string &body)
         leases_.emplace(lease_id, std::move(lease));
         return protocol::Reply::success(os.str());
     }
-    return protocol::Reply::success("none\n");
+    return std::nullopt;
 }
 
 protocol::Reply
@@ -400,9 +451,7 @@ Coordinator::handleRenew(const std::string &body)
     if (it == leases_.end() || it->second.expired)
         return protocol::Reply::error("RENEW: lease " + *id_text +
                                       " is not active");
-    it->second.deadline =
-        Clock::now() + std::chrono::milliseconds(config_.lease_ms);
-    deadlines_.emplace(it->second.deadline, id);
+    armDeadlineLocked(it->second);
     ++counters_.leases_renewed;
     return protocol::Reply::success(
         "deadline-ms=" + std::to_string(config_.lease_ms) + "\n");
@@ -536,8 +585,10 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
             // commit if it strictly extends the prefix.
             const auto st = streams_.find(lease.stream);
             if (st != streams_.end() && st->second.leased &&
-                st->second.lease_id == id)
+                st->second.lease_id == id) {
                 st->second.leased = false;
+                work_cv_.notify_all();
+            }
             retainExpiredLocked(id);
             continue;
         }
@@ -586,6 +637,7 @@ Coordinator::resolveKeyLocked(const std::string &hex, bool ok,
     waiters_.erase(it);
 
     bool first = true;
+    bool finished = false;
     for (const CellRef &ref : waiting) {
         const auto jt = jobs_.find(ref.job);
         if (jt == jobs_.end())
@@ -604,9 +656,15 @@ Coordinator::resolveKeyLocked(const std::string &hex, bool ok,
             ++job.cached;
         }
         first = false;
-        if (job.status.complete())
+        if (job.status.complete()) {
             finishJobLocked(job);
+            finished = true;
+        }
     }
+    // Wake parked WAITs here rather than in finishJobLocked, so a
+    // SUBMIT answered from the cache pays no notify.
+    if (finished)
+        done_cv_.notify_all();
 }
 
 void
@@ -694,6 +752,26 @@ Coordinator::handleStatus(const std::string &body)
 }
 
 protocol::Reply
+Coordinator::handleWait(const std::string &body)
+{
+    const protocol::WaitRequest wait = protocol::parseWaitRequest(body);
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto until =
+        Clock::now() + std::chrono::milliseconds(wait.timeout_ms);
+    for (;;) {
+        const auto it = jobs_.find(wait.job);
+        if (it == jobs_.end())
+            return protocol::Reply::error("unknown job " +
+                                          std::to_string(wait.job));
+        if (it->second.status.complete() || shutdown_ ||
+            Clock::now() >= until)
+            return protocol::Reply::success(
+                jobStatusLine(it->second.status));
+        parkLocked(done_cv_, lock, until);
+    }
+}
+
+protocol::Reply
 Coordinator::handleResult(const std::string &body)
 {
     const batch::CacheKey key = batch::CacheKey::fromHex(body);
@@ -734,7 +812,8 @@ Coordinator::handleStats()
        << " stream_handoffs=" << c.stream_handoffs
        << " stream_windows=" << c.stream_windows
        << " streams_finished=" << c.streams_finished
-       << " streams_failed=" << c.streams_failed << "\n";
+       << " streams_failed=" << c.streams_failed
+       << " parked=" << c.parked << "\n";
     return protocol::Reply::success(os.str());
 }
 
@@ -812,7 +891,7 @@ Coordinator::handleStreamAppend(const std::string &body)
         const std::string error = stream.error;
         removeStreamArtifacts(stream);
         streams_.erase(it);
-        streams_cv_.notify_all();
+        done_cv_.notify_all();
         return protocol::Reply::error("stream " + std::to_string(id) +
                                       ": " + error);
     }
@@ -828,9 +907,12 @@ Coordinator::handleStreamAppend(const std::string &body)
         // acked-and-discarded.
         removeStreamArtifacts(stream);
         streams_.erase(it);
-        streams_cv_.notify_all();
+        done_cv_.notify_all();
         throw;
     }
+
+    if (stream.leasable())
+        work_cv_.notify_all();
 
     std::ostringstream os;
     os << "received=" << stream.spool->received()
@@ -858,22 +940,28 @@ Coordinator::handleStreamClose(const std::string &body)
     }
 
     // The finish lease is now grantable; wait for its handoff.
-    const bool settled = streams_cv_.wait_for(
-        lock, std::chrono::milliseconds(config_.close_wait_ms), [&] {
-            const auto it = streams_.find(id);
-            return it == streams_.end() || it->second.finished ||
-                   it->second.failed;
-        });
+    work_cv_.notify_all();
+    const auto until =
+        Clock::now() + std::chrono::milliseconds(config_.close_wait_ms);
+    const auto settled = [&] {
+        const auto it = streams_.find(id);
+        return it == streams_.end() || it->second.finished ||
+               it->second.failed;
+    };
+    while (!settled() && !shutdown_ && Clock::now() < until)
+        parkLocked(done_cv_, lock, until);
     const auto it = streams_.find(id);
     if (it == streams_.end())
         return protocol::Reply::error("stream " + std::to_string(id) +
                                       " was discarded during close");
-    if (!settled)
+    if (!settled())
         return protocol::Reply::error(
-            "STREAM-CLOSE: timed out after " +
-            std::to_string(config_.close_wait_ms) +
-            " ms waiting for the fleet to finish stream " +
-            std::to_string(id) + "; retry");
+            shutdown_ ? "STREAM-CLOSE: the coordinator is shutting down"
+                      : "STREAM-CLOSE: timed out after " +
+                            std::to_string(config_.close_wait_ms) +
+                            " ms waiting for the fleet to finish "
+                            "stream " +
+                            std::to_string(id) + "; retry");
     if (it->second.failed) {
         auto node = streams_.extract(it);
         lock.unlock();
@@ -916,6 +1004,20 @@ Coordinator::handleStreamClose(const std::string &body)
         " windows=" + std::to_string(stream.windows) + "\n");
 }
 
+std::optional<std::pair<unsigned, bool>>
+Coordinator::FleetStream::leasable() const
+{
+    if (leased || finished || failed || !spool->headerDone())
+        return std::nullopt;
+    const auto &sched = config.schedule;
+    const unsigned feedable = unsigned(std::min<std::uint64_t>(
+        sched.num_regions, spool->records() / sched.spacing));
+    const bool finish = closing && spool->complete();
+    if (!finish && feedable <= committed)
+        return std::nullopt;
+    return std::make_pair(finish ? sched.num_regions : feedable, finish);
+}
+
 protocol::Reply
 Coordinator::handleStreamLease(const std::string &body)
 {
@@ -927,17 +1029,10 @@ Coordinator::handleStreamLease(const std::string &body)
     sweepExpiredLocked(Clock::now());
 
     for (auto &[sid, stream] : streams_) {
-        if (stream.leased || stream.finished || stream.failed)
+        const auto range = stream.leasable();
+        if (!range)
             continue;
-        if (!stream.spool->headerDone())
-            continue;
-        const auto &sched = stream.config.schedule;
-        const unsigned feedable = unsigned(std::min<std::uint64_t>(
-            sched.num_regions, stream.spool->records() / sched.spacing));
-        const bool finish = stream.closing && stream.spool->complete();
-        if (!finish && feedable <= stream.committed)
-            continue;
-        const unsigned to = finish ? sched.num_regions : feedable;
+        const auto [to, finish] = *range;
 
         stream.spool->flush();
         Lease lease;
@@ -948,9 +1043,7 @@ Coordinator::handleStreamLease(const std::string &body)
         lease.from = stream.committed;
         lease.to = to;
         lease.finish = finish;
-        lease.deadline =
-            Clock::now() + std::chrono::milliseconds(config_.lease_ms);
-        deadlines_.emplace(lease.deadline, lease.id);
+        armDeadlineLocked(lease);
         stream.leased = true;
         stream.lease_id = lease.id;
         ++counters_.stream_leases;
@@ -1041,8 +1134,13 @@ Coordinator::handleStreamHandoff(const std::string &body)
             "committed=0 stored=0 discarded=1\n");
     }
     FleetStream &stream = st->second;
-    if (stream.leased && stream.lease_id == id)
+    if (stream.leased && stream.lease_id == id) {
+        // Whatever this handoff commits, the stream's next windows
+        // (appended meanwhile, or the old range after a rejection)
+        // may be leasable once the lock drops.
         stream.leased = false;
+        work_cv_.notify_all();
+    }
 
     const auto ack = [&](std::uint64_t stored,
                          std::uint64_t discarded) {
@@ -1062,7 +1160,7 @@ Coordinator::handleStreamHandoff(const std::string &body)
                                ? "worker reported an execution error"
                                : payload;
             ++counters_.streams_failed;
-            streams_cv_.notify_all();
+            done_cv_.notify_all();
             return ack(0, 0);
         }
         return ack(0, 1);
@@ -1102,7 +1200,7 @@ Coordinator::handleStreamHandoff(const std::string &body)
         stream.mpki = mpki;
         stream.mrc = mrc;
         ++counters_.streams_finished;
-        streams_cv_.notify_all();
+        done_cv_.notify_all();
         if (config_.verbose)
             std::fprintf(stderr,
                          "[coordinator] stream %llu finished by "

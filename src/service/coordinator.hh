@@ -17,7 +17,9 @@
  *             indices (expansion order is part of the BatchPlan API,
  *             so re-expansion on the worker reproduces the identical
  *             cells and content keys — verified against the keys the
- *             lease carries).
+ *             lease carries). With wait_ms the request parks on
+ *             work_cv_ until a unit is queued or re-queued, a stream
+ *             window becomes leasable, or the wait passes.
  *   RENEW     extends a live lease's deadline (long cells).
  *   COMPLETE  returns the serialized MethodResult bytes (chunked via
  *             RESULT-PART/RESULT-END past the frame cap). The
@@ -25,11 +27,16 @@
  *             a cell computed on one worker is a cache hit for every
  *             later job — the fleet's cache-entry exchange.
  *
- * Leases live in a deadline heap. A worker that crashes or stalls
- * past its deadline has its unit re-queued and re-leased; that
- * at-least-once execution is safe because cells are content-keyed and
- * idempotent — whoever finishes first wins the store, and a zombie's
- * late duplicate COMPLETE is acked and discarded. The result of a
+ * Leases live in a deadline heap. A parked LEASE sleeps no later than
+ * the heap's earliest deadline, so an expired lease is swept and its
+ * unit re-leased without any other request arriving. WAIT parks on
+ * done_cv_ until its job finishes. A parked request releases mutex_
+ * while it sleeps, and shutdown wakes them all. A worker that crashes
+ * or stalls past its deadline has its unit re-queued and re-leased;
+ * that at-least-once execution is safe because cells are
+ * content-keyed and idempotent — whoever finishes first wins the
+ * store, and a zombie's late duplicate COMPLETE is acked and
+ * discarded. The result of a
  * plan run through N workers (with or without mid-plan worker deaths)
  * is therefore bit-identical to a serial local `batch_run`
  * (MethodResult::operator==; pinned in tests/test_service.cc and the
@@ -86,6 +93,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -143,6 +151,9 @@ class Coordinator
         std::uint64_t stream_windows = 0;  //!< windows committed
         std::uint64_t streams_finished = 0;
         std::uint64_t streams_failed = 0;
+        /** Requests parked right now: WAIT, LEASE wait_ms and
+         *  STREAM-CLOSE. */
+        std::uint64_t parked = 0;
     };
 
     /** Validate the config and open the cache. Throws ServiceError. */
@@ -160,7 +171,8 @@ class Coordinator
      */
     void run();
 
-    /** Trigger the same graceful shutdown a SHUTDOWN request does. */
+    /** Trigger the same graceful shutdown a SHUTDOWN request does;
+     *  releases every parked request. */
     void requestShutdown();
 
     Counters counters() const;
@@ -236,6 +248,13 @@ class Coordinator
         double ci_error = 0.0;
         double mpki = 0.0;
         std::string mrc; //!< formatted "bytes:ratio,..." token value
+
+        /** The windows a lease could take now: {to, finish} for
+         *  [committed, to), or nullopt while the stream is leased,
+         *  settled or has no new window. STREAM-LEASE grants exactly
+         *  this, and a parked LEASE answers "none" while any stream
+         *  has it. */
+        std::optional<std::pair<unsigned, bool>> leasable() const;
     };
 
     /** A cell of one job awaiting a pending key's result. */
@@ -259,6 +278,7 @@ class Coordinator
     protocol::Reply handleStatus(const std::string &body);
     protocol::Reply handleResult(const std::string &body);
     protocol::Reply handleStats();
+    protocol::Reply handleWait(const std::string &body);
     protocol::Reply handleLease(const std::string &body);
     protocol::Reply handleRenew(const std::string &body);
     protocol::Reply handleComplete(const std::string &body);
@@ -267,6 +287,22 @@ class Coordinator
     protocol::Reply handleStreamClose(const std::string &body);
     protocol::Reply handleStreamLease(const std::string &body);
     protocol::Reply handleStreamHandoff(const std::string &body);
+
+    /** Lease the best ready unit to @p worker, or nullopt when none
+     *  is ready (locked). */
+    std::optional<protocol::Reply>
+    grantUnitLocked(const std::string &worker);
+
+    /** Set @p lease's deadline lease_ms from now and push it on the
+     *  deadline heap, waking parked LEASEs if it is the earliest
+     *  (locked). */
+    void armDeadlineLocked(Lease &lease);
+
+    /** Park on @p cv until notified or @p until, counted in
+     *  counters_.parked. */
+    void parkLocked(std::condition_variable &cv,
+                    std::unique_lock<std::mutex> &lock,
+                    Clock::time_point until);
 
     /** Re-queue every lease whose deadline has passed (locked). */
     void sweepExpiredLocked(Clock::time_point now);
@@ -330,12 +366,15 @@ class Coordinator
 
     /** Hosted streams in id order (stream leases scan in order). */
     std::map<std::uint64_t, FleetStream> streams_;
-    /** Signals finish/failure handoffs to blocked STREAM-CLOSEs. */
-    std::condition_variable streams_cv_;
 
-    std::mutex shutdown_mutex_;
-    std::condition_variable shutdown_cv_;
-    bool shutdown_ = false;
+    /** Wakes parked LEASEs (over mutex_): a unit was queued, a stream
+     *  window became leasable, an earlier lease deadline was armed,
+     *  or shutdown. */
+    std::condition_variable work_cv_;
+    /** Wakes parked WAITs and STREAM-CLOSEs, and run(): a job or
+     *  stream finished or failed, or shutdown. */
+    std::condition_variable done_cv_;
+    bool shutdown_ = false; //!< guarded by mutex_
 };
 
 } // namespace delorean::service

@@ -2,9 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 
+#include "batch/error.hh"
+#include "batch/plan.hh"
 #include "workload/endian.hh"
 
 namespace delorean::service::protocol
@@ -97,8 +101,48 @@ opcodeName(Opcode op)
         return "STREAM-LEASE";
       case Opcode::StreamHandoff:
         return "STREAM-HANDOFF";
+      case Opcode::Wait:
+        return "WAIT";
     }
     return "?";
+}
+
+unsigned
+parseWaitMs(const std::string &text)
+{
+    try {
+        return unsigned(std::min<std::uint64_t>(batch::parseCount(text),
+                                                max_wait_ms));
+    } catch (const batch::BatchError &e) {
+        throw ServiceError(std::string("wait duration: ") + e.what());
+    }
+}
+
+WaitRequest
+parseWaitRequest(const std::string &body)
+{
+    WaitRequest wait;
+    bool have_job = false, have_timeout = false;
+    std::istringstream is(body);
+    std::string token;
+    try {
+        while (is >> token) {
+            if (token.rfind("job=", 0) == 0 && !have_job) {
+                wait.job = batch::parseCount(token.substr(4));
+                have_job = true;
+            } else if (token.rfind("timeout_ms=", 0) == 0 &&
+                       !have_timeout) {
+                wait.timeout_ms = parseWaitMs(token.substr(11));
+                have_timeout = true;
+            }
+        }
+    } catch (const batch::BatchError &e) {
+        throw ServiceError(std::string("WAIT: ") + e.what());
+    }
+    if (!have_job || !have_timeout)
+        throw ServiceError(
+            "WAIT: expected job=<id> timeout_ms=<t>, got '" + body + "'");
+    return wait;
 }
 
 void
@@ -225,6 +269,7 @@ readRequest(int fd)
       case Opcode::StreamClose:
       case Opcode::StreamLease:
       case Opcode::StreamHandoff:
+      case Opcode::Wait:
         break;
       case Opcode::ResultPart:
       case Opcode::ResultEnd:

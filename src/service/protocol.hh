@@ -35,15 +35,23 @@
  *             counters, one k=v per token.
  *   SHUTDOWN  empty. Ok body: "ok\n"; the server stops accepting,
  *             drains in-flight cells and exits.
+ *   WAIT      "job=<id> timeout_ms=<t>". Parks until the job reaches
+ *             a terminal state or the timeout passes, then answers
+ *             the same job line STATUS <id> would (terminal or not).
+ *             Unknown ids are errors, as for STATUS.
  *
  * Fleet opcodes (coordinator/worker; docs/service.md):
  *
- *   LEASE     optional "worker=<name>". Ok body: "none\n" when idle,
- *             else a header line "lease=<id> deadline-ms=<ms>
- *             job=<job> cells=<i,j,...>\n" followed by the owning
- *             job's manifest text; the worker re-expands the plan
- *             (expansion order is part of the BatchPlan API) and
- *             executes the named cells.
+ *   LEASE     optional "worker=<name>" and "wait_ms=<t>". Ok body:
+ *             "none\n" when idle, else a header line "lease=<id>
+ *             deadline-ms=<ms> job=<job> cells=<i,j,...>\n" followed
+ *             by the owning job's manifest text; the worker
+ *             re-expands the plan (expansion order is part of the
+ *             BatchPlan API) and executes the named cells. Without
+ *             wait_ms an idle coordinator answers "none" at once;
+ *             with it the request parks until a unit is ready, a
+ *             stream window becomes leasable ("none", so the
+ *             worker's STREAM-LEASE follows), or the wait passes.
  *   RENEW     "lease=<id>". Ok body: "deadline-ms=<ms>\n"; error once
  *             the lease expired or was never granted.
  *   COMPLETE  header line "lease=<id> status=ok|error more=0|1\n",
@@ -189,7 +197,34 @@ enum class Opcode : std::uint32_t
     StreamClose = 13,
     StreamLease = 14,
     StreamHandoff = 15,
+    Wait = 16,
 };
+
+/**
+ * Longest a WAIT or LEASE may park, in ms. Both servers clamp longer
+ * requests to it, well under the 30 s socket I/O timeout
+ * (service/server.cc), so a parked request never outlives its own
+ * connection's timeout.
+ */
+constexpr unsigned max_wait_ms = 10000;
+
+/**
+ * Parse a wait duration (a WAIT timeout_ms= or LEASE wait_ms= value):
+ * strict decimal, clamped to max_wait_ms. Throws ServiceError on
+ * junk, signs or values past 64 bits.
+ */
+unsigned parseWaitMs(const std::string &text);
+
+/** A parsed WAIT body. */
+struct WaitRequest
+{
+    std::uint64_t job = 0;
+    unsigned timeout_ms = 0; //!< clamped to max_wait_ms
+};
+
+/** Parse "job=<id> timeout_ms=<t>"; both are required. Throws
+ *  ServiceError. */
+WaitRequest parseWaitRequest(const std::string &body);
 
 /**
  * The SUBMIT priority clients send when they don't care: above the

@@ -1,6 +1,7 @@
 #include "service/queue.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 
 #include "batch/error.hh"
@@ -246,6 +247,46 @@ JobQueue::complete(const Task &task, bool ok, const std::string &error,
 }
 
 void
+JobQueue::settle(const std::vector<FinishedJob> &finished)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &job : finished) {
+        const auto it = jobs_.find(job.status.id);
+        if (it != jobs_.end())
+            it->second.settled = true;
+    }
+    if (counters_.parked > 0)
+        finished_.notify_all();
+}
+
+std::optional<JobStatus>
+JobQueue::waitJob(std::uint64_t id, unsigned timeout_ms)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(timeout_ms);
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        const auto it = jobs_.find(id);
+        if (it == jobs_.end())
+            return std::nullopt;
+        if (it->second.settled || released_ ||
+            std::chrono::steady_clock::now() >= until)
+            return it->second.status;
+        ++counters_.parked;
+        finished_.wait_until(lock, until);
+        --counters_.parked;
+    }
+}
+
+void
+JobQueue::releaseWaiters()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    finished_.notify_all();
+}
+
+void
 JobQueue::evictFinishedLocked()
 {
     while (finished_order_.size() > max_finished_jobs) {
@@ -277,6 +318,8 @@ JobQueue::close()
         active_.erase(task->cell.key.hex());
     heap_.clear();
     ready_.notify_all();
+    released_ = true;
+    finished_.notify_all();
 }
 
 bool

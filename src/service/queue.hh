@@ -24,7 +24,9 @@
  * are abandoned — their manifests stay in the spool for the next
  * serve), while tasks already popped finish normally and complete()
  * still fans out, which is exactly the "drain in-flight cells"
- * shutdown contract.
+ * shutdown contract. waitJob() — the WAIT opcode — blocks until a
+ * finished job is settle()d, its timeout passes, or
+ * releaseWaiters()/close().
  */
 
 #ifndef DELOREAN_SERVICE_QUEUE_HH
@@ -134,6 +136,7 @@ class JobQueue
         std::uint64_t cells_deduped = 0;  //!< attached to in-flight tasks
         std::uint64_t queue_depth = 0;    //!< tasks awaiting a worker
         std::uint64_t running = 0;        //!< tasks popped, not completed
+        std::uint64_t parked = 0;         //!< waitJob() calls blocked now
     };
 
     /**
@@ -172,7 +175,29 @@ class JobQueue
                                       const std::string &error,
                                       bool executed);
 
-    /** Wake every blocked pop() and refuse further work. */
+    /**
+     * Mark @p finished (complete()'s result) settled once their owner
+     * has acted on them (run counters recorded, manifests moved), and
+     * wake the waitJob() calls parked on them.
+     */
+    void settle(const std::vector<FinishedJob> &finished);
+
+    /**
+     * Block until job @p id is settled, @p timeout_ms passes, or
+     * releaseWaiters()/close() is called; wakes only on those events.
+     * Waiting for settle() rather than complete() means a WAIT never
+     * answers ahead of the job's own bookkeeping. @return the job's
+     * snapshot then (terminal or not), or nullopt for unknown ids.
+     */
+    std::optional<JobStatus> waitJob(std::uint64_t id,
+                                     unsigned timeout_ms);
+
+    /** Wake every blocked waitJob() and make later ones return at
+     *  once (shutdown). Queued tasks are untouched. */
+    void releaseWaiters();
+
+    /** Wake every blocked pop() and waitJob() and refuse further
+     *  work. */
     void close();
 
     bool closed() const;
@@ -192,11 +217,15 @@ class JobQueue
         std::uint64_t executed = 0;
         std::uint64_t cached = 0;
         std::string spool_path;
+        bool settled = false; //!< see settle()
     };
 
     mutable std::mutex mutex_;
     std::condition_variable ready_;
+    /** Signals settled jobs (and release) to blocked waitJob()s. */
+    std::condition_variable finished_;
     bool closed_ = false;
+    bool released_ = false; //!< waitJob() returns at once
     std::uint64_t next_job_ = 1;
     std::uint64_t next_seq_ = 0;
     Counters counters_;

@@ -152,6 +152,8 @@ SocketServer::stop()
     if (listen_fd_ < 0)
         return;
     stopping_.store(true);
+    // Wake the accept loop's poll now rather than at its next timeout.
+    (void)::shutdown(listen_fd_, SHUT_RDWR);
     if (thread_.joinable())
         thread_.join();
     ::close(listen_fd_);

@@ -39,6 +39,10 @@ BatchService::requestShutdown()
         shutdown_ = true;
     }
     shutdown_cv_.notify_all();
+    // The server joins its connection threads before queue_.close(),
+    // so a parked WAIT must be released here or the join would wait
+    // out its timeout.
+    queue_.releaseWaiters();
 }
 
 void
@@ -197,6 +201,8 @@ BatchService::workloadIdentityFor(std::uint64_t job,
 void
 BatchService::finishJobs(const std::vector<FinishedJob> &finished)
 {
+    if (finished.empty())
+        return;
     for (const auto &job : finished) {
         {
             // The job's workload-identity memo dies with it.
@@ -224,6 +230,7 @@ BatchService::finishJobs(const std::vector<FinishedJob> &finished)
         else
             watcher_->moveDone(job.spool_path);
     }
+    queue_.settle(finished);
 }
 
 protocol::Reply
@@ -238,6 +245,8 @@ BatchService::handle(const protocol::Request &request)
         return handleResult(request.body);
       case protocol::Opcode::Stats:
         return handleStats();
+      case protocol::Opcode::Wait:
+        return handleWait(request.body);
       case protocol::Opcode::Shutdown: {
         // The drain starts only after "ok" is on the wire (see
         // Reply::after_send) — the shutdown client must always get
@@ -321,6 +330,17 @@ BatchService::handleStatus(const std::string &body)
     for (const auto &job : queue_.jobs())
         os << jobStatusLine(job);
     return protocol::Reply::success(os.str());
+}
+
+protocol::Reply
+BatchService::handleWait(const std::string &body)
+{
+    const protocol::WaitRequest wait = protocol::parseWaitRequest(body);
+    const auto job = queue_.waitJob(wait.job, wait.timeout_ms);
+    if (!job)
+        return protocol::Reply::error("unknown job " +
+                                      std::to_string(wait.job));
+    return protocol::Reply::success(jobStatusLine(*job));
 }
 
 protocol::Reply
@@ -617,7 +637,8 @@ BatchService::handleStats()
        << " jobs=" << c.jobs_submitted
        << " completed=" << c.jobs_completed
        << " job_failures=" << c.jobs_failed << " spool_processed="
-       << (watcher_ ? watcher_->processed() : 0) << "\n";
+       << (watcher_ ? watcher_->processed() : 0)
+       << " parked=" << c.parked << "\n";
     return protocol::Reply::success(os.str());
 }
 

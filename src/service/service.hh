@@ -123,6 +123,7 @@ class BatchService
     protocol::Reply handleStatus(const std::string &body);
     protocol::Reply handleResult(const std::string &body);
     protocol::Reply handleStats();
+    protocol::Reply handleWait(const std::string &body);
 
     protocol::Reply handleStreamOpen(const std::string &body);
     protocol::Reply handleStreamAppend(const std::string &body);
@@ -175,7 +176,8 @@ class BatchService
     batch::CacheKey workloadIdentityFor(std::uint64_t job,
                                         const std::string &spec);
 
-    /** Act on jobs that just completed (spool moves, run counters). */
+    /** Act on jobs that just completed (spool moves, run counters),
+     *  then settle them so parked WAITs answer. */
     void finishJobs(const std::vector<FinishedJob> &finished);
 
     ServiceConfig config_;

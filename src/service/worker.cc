@@ -1,5 +1,6 @@
 #include "service/worker.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -26,8 +27,6 @@ WorkerLoop::WorkerLoop(WorkerConfig config)
         throw ServiceError("worker: no coordinator socket path");
     if (config_.threads == 0)
         throw ServiceError("worker: thread count must be non-zero");
-    if (config_.idle_ms == 0)
-        config_.idle_ms = 1;
 }
 
 WorkerLoop::~WorkerLoop()
@@ -40,6 +39,7 @@ WorkerLoop::start()
 {
     if (started_.exchange(true))
         throw ServiceError("worker: already started");
+    parked_.assign(config_.threads, nullptr);
     threads_.reserve(config_.threads);
     for (unsigned i = 0; i < config_.threads; ++i)
         threads_.emplace_back([this, i] { pullLoop(i); });
@@ -48,7 +48,16 @@ WorkerLoop::start()
 void
 WorkerLoop::stop()
 {
-    stop_.store(true);
+    {
+        // A pull thread parked in LEASE would otherwise sit out the
+        // coordinator's wait; shutdown(2) fails its read at once.
+        // Threads running a unit are not parked and finish it.
+        std::lock_guard<std::mutex> lock(park_mutex_);
+        stop_.store(true);
+        for (ServiceClient *client : parked_)
+            if (client)
+                client->interrupt();
+    }
     for (auto &thread : threads_)
         if (thread.joinable())
             thread.join();
@@ -71,6 +80,29 @@ WorkerLoop::counters() const
             stream_leases_failed_.load(),  windows_warmed_.load()};
 }
 
+ServiceClient::LeaseInfo
+WorkerLoop::parkedLease(unsigned thread_index, ServiceClient &client,
+                        const std::string &name)
+{
+    {
+        std::lock_guard<std::mutex> lock(park_mutex_);
+        if (stop_.load())
+            return {};
+        parked_[thread_index] = &client;
+    }
+    struct Unpark
+    {
+        WorkerLoop &loop;
+        unsigned index;
+        ~Unpark()
+        {
+            std::lock_guard<std::mutex> lock(loop.park_mutex_);
+            loop.parked_[index] = nullptr;
+        }
+    } unpark{*this, thread_index};
+    return client.lease(name, protocol::max_wait_ms);
+}
+
 void
 WorkerLoop::pullLoop(unsigned thread_index)
 {
@@ -78,42 +110,27 @@ WorkerLoop::pullLoop(unsigned thread_index)
         (config_.name.empty() ? "worker" : config_.name) + "/" +
         std::to_string(thread_index);
     std::unique_ptr<ServiceClient> client;
-    unsigned idle_attempt = 0;
-
-    // Sleep in short slices so stop()/kill() joins promptly even from
-    // a long idle backoff.
-    const auto nap = [&](unsigned attempt) {
-        unsigned left = pollBackoffMs(attempt, config_.idle_ms,
-                                      8 * config_.idle_ms,
-                                      0x776f726bull + thread_index);
-        while (left > 0 && !stop_.load()) {
-            const unsigned slice = std::min(left, 10u);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(slice));
-            left -= slice;
-        }
-    };
+    unsigned reconnect_attempt = 0;
 
     while (!stop_.load()) {
         try {
             if (!client)
                 client = std::make_unique<ServiceClient>(
                     config_.coordinator);
-            const auto lease = client->lease(name);
+            // Parks on the coordinator until a unit is ready or a
+            // stream window becomes leasable: no idle polling.
+            const auto lease = parkedLease(thread_index, *client, name);
+            reconnect_attempt = 0;
             if (lease.idle) {
-                // No work unit; a suspended stream may still have
-                // windows to feed (docs/service.md, "Stream
-                // migration").
+                if (stop_.load())
+                    return;
+                // No work unit; a suspended stream may have windows
+                // to feed (docs/service.md, "Stream migration").
                 const auto stream = client->streamLease(name);
-                if (stream.idle) {
-                    nap(idle_attempt++);
-                    continue;
-                }
-                idle_attempt = 0;
-                runStreamLease(*client, stream, name);
+                if (!stream.idle)
+                    runStreamLease(*client, stream, name);
                 continue;
             }
-            idle_attempt = 0;
 
             // Re-expand the manifest and verify the leased cells
             // against the coordinator's keys: expansion order is part
@@ -186,14 +203,23 @@ WorkerLoop::pullLoop(unsigned thread_index)
             }
         } catch (const ServiceError &e) {
             // Coordinator gone or mid-exchange failure: drop the
-            // connection and retry with backoff.
+            // connection and reconnect with backoff, in short slices
+            // so stop()/kill() joins promptly.
             client.reset();
             if (stop_.load())
                 return;
             if (config_.verbose)
                 std::fprintf(stderr, "[%s] %s\n", name.c_str(),
                              e.what());
-            nap(idle_attempt++);
+            unsigned left = pollBackoffMs(
+                reconnect_attempt++, ServiceClient::poll_base_ms,
+                ServiceClient::poll_cap_ms, 0x776f726bull + thread_index);
+            while (left > 0 && !stop_.load()) {
+                const unsigned slice = std::min(left, 10u);
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(slice));
+                left -= slice;
+            }
         }
     }
 }
@@ -214,11 +240,22 @@ WorkerLoop::runStreamLease(ServiceClient &client,
             streamConfig(lease.stream, lease.directives, 1);
 
         // Resume from the committed prefix instead of re-warming from
-        // byte zero — the point of migration.
+        // byte zero — the point of migration. Like a batch cell's
+        // live-points, the prefix only saves time: a torn or corrupt
+        // one re-warms from the spool (bit-identical results) rather
+        // than failing the stream.
         std::vector<core::RegionWarm> warm;
-        if (lease.prefix != "-")
-            warm = checkpoint::loadPrefixForRun(spec, config,
-                                                lease.prefix);
+        if (lease.prefix != "-") {
+            try {
+                warm = checkpoint::loadPrefixForRun(spec, config,
+                                                    lease.prefix);
+            } catch (const checkpoint::CheckpointError &e) {
+                warn("stream %llu: %s; re-warming windows [0, %u) from "
+                     "the spool",
+                     (unsigned long long)lease.stream, e.what(),
+                     lease.to);
+            }
+        }
         if (warm.size() > lease.from) {
             // A zombie's first-write-wins handoff extended the
             // committed prefix after this lease was granted. The
@@ -228,7 +265,7 @@ WorkerLoop::runStreamLease(ServiceClient &client,
             // healthy stream.
             warm.resize(lease.from);
         }
-        if (warm.size() < lease.from)
+        if (!warm.empty() && warm.size() < lease.from)
             throw batch::BatchError(
                 "committed prefix covers " +
                 std::to_string(warm.size()) +
@@ -256,10 +293,10 @@ WorkerLoop::runStreamLease(ServiceClient &client,
 
         // A finish lease granted after every window was already
         // committed has nothing left to warm.
-        if (lease.to > session.windowsFed())
-            session.feedWindows(master,
-                                lease.to - session.windowsFed());
-        windows_warmed_.fetch_add(lease.to - lease.from);
+        const unsigned resumed = session.windowsFed();
+        if (lease.to > resumed)
+            session.feedWindows(master, lease.to - resumed);
+        windows_warmed_.fetch_add(lease.to - resumed);
 
         const core::SessionEstimate est = session.estimate();
         const std::string mrc = formatMrcPoints(est.mrc);

@@ -7,6 +7,9 @@
  *
  *  1. LEASE pulls a work unit: lease id, deadline, the owning job's
  *     manifest text, plus the unit's cell indices and content keys.
+ *     The LEASE carries wait_ms=protocol::max_wait_ms, so an idle
+ *     worker parks on the coordinator until a unit is queued or
+ *     re-queued instead of polling.
  *  2. The worker re-expands the manifest with the same BatchPlan code
  *     the coordinator used and verifies each leased cell's key matches
  *     the key the lease carries. A mismatch (a file-backed workload
@@ -28,12 +31,18 @@
  * shared spool file, and STREAM-HANDOFFs either a longer prefix or —
  * on a finish lease — the final serialized MethodResult. Because warm
  * state is a pure function of trace bytes + config, a migrated
- * stream's final result is bit-identical to an unmigrated one.
+ * stream's final result is bit-identical to an unmigrated one. A
+ * torn or corrupt committed prefix is not fatal: the worker warns and
+ * re-warms from window 0, as a batch cell does with bad live-points.
  *
- * An idle coordinator ("none") backs off with pollBackoffMs. stop()
- * finishes in-flight units and COMPLETEs them; kill() abandons them —
- * the lease expires and the coordinator re-queues, which is the fault
- * the fleet tests inject.
+ * A parked LEASE that comes back "none" (a stream window became
+ * leasable, or the wait passed) is followed by one STREAM-LEASE and
+ * the next parked LEASE. Only a transport failure (ServiceError)
+ * sleeps: the reconnect backs off with pollBackoffMs on
+ * ServiceClient::poll_base_ms/poll_cap_ms. stop() interrupts parked
+ * LEASEs, finishes in-flight units and COMPLETEs them; kill()
+ * abandons them — the lease expires and the coordinator re-queues,
+ * which is the fault the fleet tests inject.
  */
 
 #ifndef DELOREAN_SERVICE_WORKER_HH
@@ -41,6 +50,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,8 +66,6 @@ struct WorkerConfig
     std::string coordinator; //!< coordinator socket path (required)
     std::string cache_dir;   //!< empty = ResultCache::defaultDir()
     unsigned threads = 1;    //!< concurrent pull loops
-    /** Idle backoff band: pollBackoffMs(attempt, idle_ms, 8*idle_ms). */
-    unsigned idle_ms = 100;
     std::string name;        //!< reported with each LEASE
     bool verbose = false;
 };
@@ -104,6 +112,12 @@ class WorkerLoop
   private:
     void pullLoop(unsigned thread_index);
 
+    /** One parked LEASE on @p client, interruptible by stop(); an
+     *  idle lease once stop() has begun. */
+    ServiceClient::LeaseInfo parkedLease(unsigned thread_index,
+                                         ServiceClient &client,
+                                         const std::string &name);
+
     /**
      * Execute one stream lease end to end: resume from the committed
      * prefix, feed windows [from, to), hand off a longer prefix or the
@@ -128,6 +142,12 @@ class WorkerLoop
     std::atomic<std::uint64_t> stream_leases_completed_{0};
     std::atomic<std::uint64_t> stream_leases_failed_{0};
     std::atomic<std::uint64_t> windows_warmed_{0};
+
+    /** Per pull thread, the client parked in LEASE (else null); stop()
+     *  interrupts them under the same lock that publishes stop_. */
+    std::mutex park_mutex_;
+    std::vector<ServiceClient *> parked_;
+
     std::vector<std::thread> threads_;
 };
 

@@ -27,9 +27,11 @@
 #include "base/units.hh"
 #include "checkpoint/livepoint.hh"
 #include "core/delorean.hh"
+#include "core/session.hh"
 #include "sampling/confidence.hh"
 #include "workload/spec_profiles.hh"
 #include "workload/trace_io.hh"
+#include "workload/trace_registry.hh"
 
 namespace
 {
@@ -313,6 +315,32 @@ TEST(LivePoint, FileBackedWorkloadRerecordInvalidates)
                           trace_path.path);
     EXPECT_THROW((void)checkpoint::loadForRun(spec, cfg, out.path),
                  CheckpointError);
+}
+
+// A suspended stream's committed prefix can be torn on disk at any
+// byte (a crash mid-copy, a full disk). Every strict cut must be
+// refused with CheckpointError: never a crash, never a shorter prefix
+// that would silently resume fewer windows.
+TEST(LivePoint, PrefixTornAtEveryByteIsRefused)
+{
+    const auto cfg = quickConfig(3, 200'000);
+    core::DeloreanSession session(cfg);
+    session.feedWindows(*workload::makeTrace("bzip2"), 2);
+    TempPath path("torn_prefix");
+    checkpoint::writeLivePointFile(
+        path.path, checkpoint::sessionLivePoints(session, "bzip2"));
+    ASSERT_EQ(checkpoint::loadPrefixForRun("bzip2", cfg, path.path).size(),
+              2u);
+
+    // Shrink one file a byte at a time: every strict prefix, down to
+    // the empty file.
+    for (auto size = std::filesystem::file_size(path.path); size-- > 0;) {
+        std::filesystem::resize_file(path.path, size);
+        EXPECT_THROW(
+            (void)checkpoint::loadPrefixForRun("bzip2", cfg, path.path),
+            CheckpointError)
+            << "cut at byte " << size;
+    }
 }
 
 // ------------------------------------------------------- corrupt input

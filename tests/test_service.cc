@@ -23,7 +23,17 @@
  * winning), SUBMIT quota/backlog backpressure, JobQueue edge cases
  * (exact eviction boundary, concurrent same-priority submits,
  * close() racing an in-flight completion), and the capped
- * exponential poll backoff.
+ * exponential reconnect backoff.
+ *
+ * Parked requests (WAIT, LEASE wait_ms): each wake rule is checked by
+ * reply content through Coordinator::handle in process — a SUBMIT's
+ * unit, an expired lease's re-queued unit, a completed stream window,
+ * a finished job — plus timeouts, shutdown releasing every parked
+ * request on both servers, WorkerLoop::stop()/kill() interrupting a
+ * parked LEASE, and an abuse suite over the new fields. Torn stream
+ * prefixes: truncated handoffs are refused without moving the
+ * committed prefix, and a torn committed prefix is re-warmed by the
+ * next worker instead of failing the stream.
  *
  * Streaming warming (TRACE-STREAM, src/service/stream.hh): the
  * streamed-equals-offline pin — a recorded trace streamed at several
@@ -40,6 +50,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -47,6 +58,7 @@
 #include <mutex>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -55,11 +67,14 @@
 #include "base/units.hh"
 #include "batch/result_io.hh"
 #include "batch/runner.hh"
+#include "checkpoint/livepoint.hh"
+#include "core/session.hh"
 #include "service/client.hh"
 #include "service/coordinator.hh"
 #include "service/queue.hh"
 #include "service/server.hh"
 #include "service/service.hh"
+#include "service/stream.hh"
 #include "service/watcher.hh"
 #include "service/worker.hh"
 #include "workload/endian.hh"
@@ -432,6 +447,39 @@ TEST(Queue, CloseAbandonsQueuedAndUnblocksPop)
         (void)queue.addJob(tinyPlan(), "late", JobSource::Socket, 0),
         ServiceError);
     EXPECT_EQ(queue.counters().queue_depth, 0u);
+}
+
+TEST(Queue, WaitJobWakesOnSettleTimeoutAndRelease)
+{
+    JobQueue queue;
+    const std::uint64_t id =
+        queue.addJob(tinyPlan(), "w", JobSource::Socket, 1);
+    EXPECT_FALSE(queue.waitJob(999, 1).has_value());
+    // Timeout: the unfinished snapshot.
+    EXPECT_FALSE(queue.waitJob(id, 1)->complete());
+
+    std::optional<JobStatus> waited;
+    std::thread waiter(
+        [&] { waited = queue.waitJob(id, proto::max_wait_ms); });
+    while (queue.counters().parked == 0)
+        std::this_thread::yield();
+    // The owner's bookkeeping comes between complete() and settle(),
+    // which is what wakes the WAIT.
+    queue.settle(queue.complete(*queue.pop(), true, "", true));
+    waiter.join();
+    ASSERT_TRUE(waited.has_value());
+    EXPECT_STREQ(waited->state(), "done");
+
+    const std::uint64_t other = queue.addJob(
+        tinyPlan(two_cell_manifest), "w", JobSource::Socket, 1);
+    std::thread released(
+        [&] { waited = queue.waitJob(other, proto::max_wait_ms); });
+    while (queue.counters().parked == 0)
+        std::this_thread::yield();
+    queue.releaseWaiters();
+    released.join();
+    EXPECT_FALSE(waited->complete());
+    EXPECT_EQ(queue.counters().parked, 0u);
 }
 
 TEST(Queue, FinishedJobHistoryIsBounded)
@@ -1119,10 +1167,11 @@ TEST(ProtocolFuzz, CorruptFramesAlwaysThrowNeverCrash)
     for (int i = 0; i < 640; ++i) {
         const bool fuzz_request = (rng.next() & 1) != 0;
         // A random but structurally valid starting frame (every
-        // client-originated opcode, including the TRACE-STREAM trio
-        // and the stream-migration pair STREAM-LEASE/STREAM-HANDOFF).
+        // client-originated opcode, including the TRACE-STREAM trio,
+        // the stream-migration pair STREAM-LEASE/STREAM-HANDOFF and
+        // WAIT).
         static constexpr std::uint32_t request_codes[] = {
-            1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15};
+            1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16};
         const std::uint32_t good_code =
             fuzz_request ? request_codes[rng.next() %
                                          std::size(request_codes)]
@@ -1157,10 +1206,10 @@ TEST(ProtocolFuzz, CorruptFramesAlwaysThrowNeverCrash)
             break;
           }
           case BadCode: {
-            // Requests: opcodes past STREAM-HANDOFF are unknown.
+            // Requests: opcodes past WAIT are unknown.
             // Replies: statuses past status_part are unknown.
             const std::uint32_t bad =
-                (fuzz_request ? 16 : 3) +
+                (fuzz_request ? 17 : 3) +
                 std::uint32_t(rng.next() % 100000);
             workload::le::putU32(
                 reinterpret_cast<std::uint8_t *>(frame.data()) + 8,
@@ -1603,7 +1652,6 @@ struct CoordinatorFixture
         worker.coordinator = config.socket_path;
         worker.cache_dir = root.path + "/wcache_" + name;
         worker.threads = 1;
-        worker.idle_ms = 5;
         worker.name = name;
         return worker;
     }
@@ -2337,6 +2385,501 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
                             "tail=/tmp/nope.dlt\n" +
                                 std::string(directives))
                      .ok);
+}
+
+// ------------------------------------------- parked WAIT and LEASE
+
+/** A Coordinator driven in process through handle(), never served. */
+struct LocalCoordinator
+{
+    TempPath root;
+    std::unique_ptr<Coordinator> coordinator;
+
+    explicit LocalCoordinator(const std::string &tag,
+                              unsigned lease_ms = 10000)
+        : root(tag)
+    {
+        std::filesystem::create_directories(root.path);
+        CoordinatorConfig config;
+        config.socket_path = root.path + "/coord.sock";
+        config.cache_dir = root.path + "/cache";
+        config.lease_ms = lease_ms;
+        coordinator = std::make_unique<Coordinator>(config);
+    }
+
+    /** handle(), with a thrown error as an error reply — what the
+     *  socket server sends. */
+    proto::Reply
+    call(proto::Opcode op, const std::string &body)
+    {
+        try {
+            return coordinator->handle(makeRequest(op, body), 1);
+        } catch (const std::exception &e) {
+            return proto::Reply::error(e.what());
+        }
+    }
+};
+
+/**
+ * One request on its own thread. The constructor returns once the
+ * coordinator counts it as parked (or it already answered), so the
+ * test's next request is the event it must wake on — no sleeps.
+ */
+class Parked
+{
+  public:
+    Parked(LocalCoordinator &local, proto::Opcode op, std::string body)
+    {
+        const auto before = local.coordinator->counters().parked;
+        thread_ = std::thread([this, &local, op, body = std::move(body)] {
+            reply_ = local.call(op, body);
+            done_.store(true);
+        });
+        while (!done_.load() &&
+               local.coordinator->counters().parked == before)
+            std::this_thread::yield();
+    }
+
+    ~Parked()
+    {
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    Parked(const Parked &) = delete;
+    Parked &operator=(const Parked &) = delete;
+
+    /** Wait for the answer. */
+    proto::Reply
+    get()
+    {
+        thread_.join();
+        return reply_;
+    }
+
+  private:
+    proto::Reply reply_;
+    std::atomic<bool> done_{false};
+    std::thread thread_; //!< last: it uses the members above
+};
+
+TEST(Coordinator, ParkedLeaseGetsTheUnitASubmitQueues)
+{
+    LocalCoordinator local("park_submit");
+    Parked lease(local, proto::Opcode::Lease, "worker=a wait_ms=10000\n");
+    ASSERT_TRUE(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).ok);
+    const auto reply = lease.get();
+    ASSERT_TRUE(reply.ok) << reply.body;
+    ASSERT_NE(reply.body, "none\n");
+    EXPECT_EQ(tokenOf(reply.body, "cells"), "0");
+    EXPECT_EQ(local.coordinator->counters().parked, 0u);
+}
+
+TEST(Coordinator, ParkedLeaseGetsAnExpiredLeaseUnprompted)
+{
+    LocalCoordinator local("park_expiry", /*lease_ms=*/50);
+    ASSERT_TRUE(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).ok);
+    const auto first = local.call(proto::Opcode::Lease, "worker=a\n");
+    ASSERT_NE(first.body, "none\n");
+
+    // Worker a dies holding the unit. Nothing else arrives while b is
+    // parked: the deadline passing is the only event.
+    Parked lease(local, proto::Opcode::Lease, "worker=b wait_ms=10000\n");
+    const auto second = lease.get();
+    ASSERT_TRUE(second.ok) << second.body;
+    ASSERT_NE(second.body, "none\n");
+    EXPECT_NE(tokenOf(second.body, "lease"), tokenOf(first.body, "lease"));
+    EXPECT_EQ(tokenOf(second.body, "cells"), tokenOf(first.body, "cells"));
+    EXPECT_EQ(local.coordinator->counters().leases_expired, 1u);
+}
+
+TEST(Coordinator, ParkedLeaseAnswersNoneWhenAStreamWindowCompletes)
+{
+    LocalCoordinator local("park_stream");
+    TempPath trace("park_stream_trace");
+    const std::string bytes = recordTraceBytes(trace.path, 41000);
+    const std::string sid = tokenOf(
+        local
+            .call(proto::Opcode::StreamOpen,
+                  "config c llc=2MiB\nschedule s spacing=41000 "
+                  "regions=1\n")
+            .body,
+        "stream");
+    // All but the last 32-byte record: no window is complete yet.
+    const std::size_t last = bytes.size() - 32;
+    ASSERT_TRUE(local
+                    .call(proto::Opcode::StreamAppend,
+                          "stream=" + sid + "\n" + bytes.substr(0, last))
+                    .ok);
+
+    Parked lease(local, proto::Opcode::Lease, "worker=a wait_ms=10000\n");
+    ASSERT_TRUE(local
+                    .call(proto::Opcode::StreamAppend,
+                          "stream=" + sid + "\n" + bytes.substr(last))
+                    .ok);
+    EXPECT_EQ(lease.get().body, "none\n");
+    const auto window =
+        local.call(proto::Opcode::StreamLease, "worker=a\n");
+    ASSERT_NE(window.body, "none\n");
+    EXPECT_EQ(tokenOf(window.body, "from"), "0");
+    EXPECT_EQ(tokenOf(window.body, "to"), "1");
+}
+
+TEST(Coordinator, WaitAnswersTheTerminalLineOrTheLineAtTimeout)
+{
+    LocalCoordinator local("park_wait");
+    const std::string job = tokenOf(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).body,
+        "job");
+
+    // At timeout: the job's line as STATUS would give it, not terminal.
+    const auto early =
+        local.call(proto::Opcode::Wait, "job=" + job + " timeout_ms=1");
+    ASSERT_TRUE(early.ok) << early.body;
+    EXPECT_STREQ(parseJobStatusLine(early.body).state(), "queued");
+    EXPECT_EQ(early.body, local.call(proto::Opcode::Status, job).body);
+
+    Parked wait(local, proto::Opcode::Wait,
+                "job=" + job + " timeout_ms=10000");
+    const auto leased = local.call(proto::Opcode::Lease, "worker=a\n");
+    std::ostringstream payload(std::ios::binary);
+    batch::writeMethodResult(
+        payload, batch::BatchRunner::runCell(tinyPlan().cells()[0]));
+    ASSERT_TRUE(local
+                    .call(proto::Opcode::Complete,
+                          "lease=" + tokenOf(leased.body, "lease") +
+                              " status=ok more=0\n" + payload.str())
+                    .ok);
+    const auto done = wait.get();
+    ASSERT_TRUE(done.ok) << done.body;
+    EXPECT_STREQ(parseJobStatusLine(done.body).state(), "done");
+    EXPECT_EQ(local.coordinator->counters().parked, 0u);
+}
+
+TEST(Coordinator, ShutdownReleasesEveryParkedRequest)
+{
+    LocalCoordinator local("park_shutdown");
+    const std::string job = tokenOf(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).body,
+        "job");
+    // The unit goes out on lease, so a parked LEASE has nothing to take.
+    ASSERT_NE(local.call(proto::Opcode::Lease, "").body, "none\n");
+    TempPath trace("park_shutdown_trace");
+    const std::string sid = tokenOf(
+        local
+            .call(proto::Opcode::StreamOpen,
+                  "config c llc=2MiB\nschedule s spacing=41000 "
+                  "regions=1\n")
+            .body,
+        "stream");
+    ASSERT_TRUE(local
+                    .call(proto::Opcode::StreamAppend,
+                          "stream=" + sid + "\n" +
+                              recordTraceBytes(trace.path, 41000))
+                    .ok);
+    // The window goes out on lease too, so CLOSE parks for its finish.
+    ASSERT_NE(local.call(proto::Opcode::StreamLease, "").body, "none\n");
+
+    Parked wait(local, proto::Opcode::Wait,
+                "job=" + job + " timeout_ms=10000");
+    Parked lease(local, proto::Opcode::Lease, "wait_ms=10000\n");
+    Parked close(local, proto::Opcode::StreamClose, "stream=" + sid);
+    EXPECT_EQ(local.coordinator->counters().parked, 3u);
+
+    local.coordinator->requestShutdown();
+    const auto waited = wait.get();
+    ASSERT_TRUE(waited.ok) << waited.body;
+    EXPECT_FALSE(parseJobStatusLine(waited.body).complete());
+    EXPECT_EQ(lease.get().body, "none\n");
+    const auto closed = close.get();
+    EXPECT_FALSE(closed.ok);
+    EXPECT_NE(closed.body.find("shutting down"), std::string::npos)
+        << closed.body;
+    EXPECT_EQ(local.coordinator->counters().parked, 0u);
+}
+
+TEST(Service, ShutdownReleasesAParkedWait)
+{
+    ServiceFixture fixture;
+    ServiceClient client(fixture.config.socket_path);
+    // Slow enough to still be running when the WAIT parks.
+    const auto info = client.submit("workload bzip2\n"
+                                    "config c llc=2MiB\n"
+                                    "schedule s spacing=500000 regions=6\n"
+                                    "methods delorean\n");
+    std::optional<JobStatus> status;
+    std::thread waiter([&] {
+        ServiceClient parked(fixture.config.socket_path);
+        try {
+            status = parked.waitJob(info.job, proto::max_wait_ms);
+        } catch (const ServiceError &) {
+            // The server's stop cut the connection: released as well.
+        }
+    });
+    while (fixture.service->counters().parked == 0 &&
+           fixture.service->counters().jobs_completed == 0)
+        std::this_thread::yield();
+
+    fixture.service->requestShutdown();
+    waiter.join();
+    if (status) {
+        EXPECT_FALSE(status->complete()) << jobStatusLine(*status);
+    }
+    EXPECT_EQ(fixture.service->counters().parked, 0u);
+}
+
+TEST(Coordinator, StopAndKillInterruptAParkedWorker)
+{
+    CoordinatorFixture fixture;
+    for (const bool kill : {false, true}) {
+        WorkerLoop worker(
+            fixture.workerConfig(kill ? "killed" : "stopped"));
+        const auto before = fixture.coordinator->counters().parked;
+        worker.start();
+        ServiceFixture::waitFor(
+            [&] { return fixture.coordinator->counters().parked > before; },
+            "the worker's LEASE to park");
+        const auto start = std::chrono::steady_clock::now();
+        if (kill)
+            worker.kill();
+        else
+            worker.stop();
+        // Far inside the parked LEASE's own wait.
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::milliseconds(proto::max_wait_ms / 2));
+    }
+}
+
+TEST(Service, WaitAndLeaseWaitAbuseIsSafe)
+{
+    ServiceFixture service;
+    CoordinatorFixture fleet;
+    for (const std::string &socket :
+         {service.config.socket_path, fleet.config.socket_path}) {
+        const bool is_fleet = socket == fleet.config.socket_path;
+        ServiceClient client(socket);
+        const auto job = client.submit(tiny_manifest).job;
+        if (is_fleet) {
+            // No workers here: fail the unit to make the job terminal.
+            const auto lease = client.lease("w");
+            ASSERT_FALSE(lease.idle);
+            (void)client.completeError(lease.lease, "abandoned");
+        }
+        ASSERT_TRUE(client.waitForJob(job, 120.0));
+
+        const int fd = connectToServer(socket);
+        const auto exchange = [&](proto::Opcode op,
+                                  const std::string &body) {
+            proto::writeRequest(fd, makeRequest(op, body));
+            return proto::readReply(fd);
+        };
+        const std::string id = std::to_string(job);
+        // Junk, negative, overflowing or missing fields: error replies
+        // on a connection that stays healthy, nothing left parked.
+        for (const std::string &body :
+             {"job=" + id + " timeout_ms=abc",
+              "job=" + id + " timeout_ms=-5",
+              "job=" + id + " timeout_ms=99999999999999999999999",
+              "job=" + id, std::string("timeout_ms=5"), std::string(""),
+              std::string("job=abc timeout_ms=5")}) {
+            EXPECT_FALSE(exchange(proto::Opcode::Wait, body).ok)
+                << "'" << body << "'";
+            EXPECT_TRUE(exchange(proto::Opcode::Stats, "").ok);
+            EXPECT_EQ(client.stats().parked, 0u);
+        }
+        // An unknown job errors exactly as STATUS does.
+        const auto unknown =
+            exchange(proto::Opcode::Wait, "job=999 timeout_ms=5");
+        EXPECT_FALSE(unknown.ok);
+        EXPECT_EQ(unknown.body,
+                  exchange(proto::Opcode::Status, "999").body);
+        // A huge timeout is clamped, not refused.
+        const auto huge = exchange(
+            proto::Opcode::Wait,
+            "job=" + id + " timeout_ms=18446744073709551615");
+        ASSERT_TRUE(huge.ok) << huge.body;
+        EXPECT_TRUE(parseJobStatusLine(huge.body).complete());
+
+        if (!is_fleet) {
+            // A batch service has no leases, parked or not.
+            for (const char *body :
+                 {"", "wait_ms=5\n", "worker=w wait_ms=10000\n"})
+                EXPECT_FALSE(exchange(proto::Opcode::Lease, body).ok)
+                    << body;
+        } else {
+            for (const char *body :
+                 {"wait_ms=abc\n", "wait_ms=-1\n",
+                  "worker=w wait_ms=99999999999999999999999\n"})
+                EXPECT_FALSE(exchange(proto::Opcode::Lease, body).ok)
+                    << body;
+            // Clamped, not refused: a ready unit is leased at once.
+            (void)client.submit(two_cell_manifest);
+            const auto leased = exchange(
+                proto::Opcode::Lease, "wait_ms=18446744073709551615\n");
+            ASSERT_TRUE(leased.ok) << leased.body;
+            EXPECT_NE(leased.body, "none\n");
+        }
+        EXPECT_TRUE(exchange(proto::Opcode::Stats, "").ok);
+        EXPECT_EQ(client.stats().parked, 0u);
+        ::close(fd);
+    }
+}
+
+// ------------------------------------------------ torn stream prefixes
+
+/** Two cheap windows per stream for the torn-prefix cases. */
+constexpr const char *small_stream_directives =
+    "config c llc=2MiB\n"
+    "schedule s spacing=41000 regions=2\n"
+    "methods delorean\n";
+
+TEST(Coordinator, TornPrefixHandoffsAreRejectedAndTheStreamStaysLeasable)
+{
+    TempPath trace("torn_handoff_trace");
+    const std::string bytes = recordTraceBytes(trace.path, 82000);
+    const auto plan = tinyPlan(("workload file:" + trace.path + "\n" +
+                                small_stream_directives)
+                                   .c_str());
+    const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
+
+    LocalCoordinator local("torn_handoff");
+    const std::string sid = tokenOf(
+        local.call(proto::Opcode::StreamOpen, small_stream_directives).body,
+        "stream");
+    ASSERT_TRUE(
+        local
+            .call(proto::Opcode::StreamAppend,
+                  "stream=" + sid + "\n" + bytes)
+            .ok);
+
+    // Warm both windows in process, as a worker would, for a real
+    // 2-window DLRNLVP1 prefix of this stream.
+    auto lease = local.call(proto::Opcode::StreamLease, "worker=w\n");
+    ASSERT_EQ(tokenOf(lease.body, "to"), "2");
+    const std::string spool = tokenOf(lease.body, "trace");
+    core::DeloreanSession session(
+        streamConfig(batch::parseCount(sid), small_stream_directives, 1));
+    workload::FileTrace master(
+        spool, false, batch::parseCount(tokenOf(lease.body, "records")));
+    session.feedWindows(master, 2);
+    std::ostringstream os(std::ios::binary);
+    checkpoint::writeLivePoints(
+        os, checkpoint::sessionLivePoints(session, "stream:" + sid));
+    const std::string prefix = os.str();
+
+    const auto handoff = [&](std::size_t size) {
+        const std::string path =
+            spool + ".lvp." + tokenOf(lease.body, "lease");
+        writeFile(path, prefix.substr(0, size));
+        const auto reply = local.call(
+            proto::Opcode::StreamHandoff,
+            "lease=" + tokenOf(lease.body, "lease") +
+                " status=ok windows=2 prefix=" + path + "\n");
+        EXPECT_FALSE(std::filesystem::exists(path) && !reply.ok)
+            << "rejected prefix file leaked (cut " << size << ")";
+        return reply;
+    };
+    FuzzRng rng{0x746f726eull};
+    std::vector<std::size_t> cuts = {0, 1, prefix.size() - 1};
+    while (cuts.size() < 19)
+        cuts.push_back(std::size_t(rng.next() % prefix.size()));
+    for (const std::size_t cut : cuts) {
+        EXPECT_FALSE(handoff(cut).ok) << "cut " << cut;
+        EXPECT_EQ(tokenOf(local.call(proto::Opcode::Status, "stream=" + sid)
+                              .body,
+                          "windows_fed"),
+                  "0")
+            << "cut " << cut;
+        lease = local.call(proto::Opcode::StreamLease, "worker=w\n");
+        ASSERT_NE(lease.body, "none\n") << "not leasable after cut " << cut;
+        EXPECT_EQ(tokenOf(lease.body, "from"), "0");
+    }
+
+    // The whole prefix commits; CLOSE then parks for the finish.
+    const auto committed = handoff(prefix.size());
+    ASSERT_TRUE(committed.ok) << committed.body;
+    EXPECT_EQ(tokenOf(committed.body, "committed"), "2");
+    Parked close(local, proto::Opcode::StreamClose, "stream=" + sid);
+    const auto finish =
+        local.call(proto::Opcode::StreamLease, "worker=w\n");
+    ASSERT_EQ(tokenOf(finish.body, "finish"), "1") << finish.body;
+    std::ostringstream result(std::ios::binary);
+    batch::writeMethodResult(result, session.finish());
+    ASSERT_TRUE(local
+                    .call(proto::Opcode::StreamHandoff,
+                          "lease=" + tokenOf(finish.body, "lease") +
+                              " status=ok windows=2 prefix=-\n" +
+                              result.str())
+                    .ok);
+    const auto closed = close.get();
+    ASSERT_TRUE(closed.ok) << closed.body;
+    EXPECT_EQ(tokenOf(closed.body, "key"), plan.cells()[0].key.hex());
+    std::istringstream fetched(
+        local.call(proto::Opcode::Result, tokenOf(closed.body, "key")).body,
+        std::ios::binary);
+    EXPECT_EQ(batch::readMethodResult(fetched), golden);
+}
+
+TEST(Coordinator, TornCommittedPrefixIsRewarmedNotFatal)
+{
+    TempPath trace("torn_commit_trace");
+    const std::string bytes = recordTraceBytes(trace.path, 82000);
+    const auto plan = tinyPlan(("workload file:" + trace.path + "\n" +
+                                small_stream_directives)
+                                   .c_str());
+    const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
+
+    CoordinatorFixture fixture(/*lease_ms=*/120000);
+    ServiceClient client(fixture.config.socket_path);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 5; ++i) {
+        ids.push_back(client.streamOpen(small_stream_directives));
+        client.streamAppend(ids.back(), bytes);
+    }
+
+    // A real worker commits a 2-window prefix of every stream...
+    {
+        WorkerLoop first(fixture.workerConfig("first"));
+        first.start();
+        ServiceFixture::waitFor(
+            [&] {
+                return fixture.coordinator->counters().stream_windows >= 10;
+            },
+            "every stream's 2-window prefix to commit");
+        first.stop();
+    }
+    // ...and each committed file is torn on disk: at 0, 1, the end of
+    // the DLRNLVP1 header (68 bytes + the "stream:<id>" workload name,
+    // docs/checkpoints.md), mid-window and size - 1.
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::string path = fixture.config.cache_dir +
+                                 "/fleet-streams/" +
+                                 std::to_string(ids[i]) + ".dlt.lvp";
+        const std::uintmax_t size = std::filesystem::file_size(path);
+        const std::uintmax_t cuts[] = {
+            0, 1, 68 + ("stream:" + std::to_string(ids[i])).size(),
+            size / 2, size - 1};
+        std::filesystem::resize_file(path, cuts[i]);
+    }
+
+    // The next worker's finish lease re-warms from the spool instead
+    // of failing the stream.
+    WorkerLoop second(fixture.workerConfig("second"));
+    second.start();
+    for (const std::uint64_t id : ids) {
+        const auto closed = client.streamClose(id);
+        EXPECT_EQ(closed.windows, 2u);
+        EXPECT_EQ(closed.key, plan.cells()[0].key);
+        EXPECT_EQ(client.result(closed.key), golden) << "stream " << id;
+    }
+    second.stop();
+    EXPECT_EQ(second.counters().windows_warmed, 10u);
+    EXPECT_EQ(second.counters().stream_leases_failed, 0u);
+    const auto counters = fixture.coordinator->counters();
+    EXPECT_EQ(counters.streams_finished, 5u);
+    EXPECT_EQ(counters.streams_failed, 0u);
 }
 
 TEST(Stream, TailFollowsGrowingTraceFile)

@@ -42,9 +42,9 @@
  * of the same plan iff the results are bit-identical, which the CI
  * service-smoke job checks with a plain `diff`.
  *
- * `submit --wait` polls the job until it completes and exits non-zero
- * if any cell failed, so shell pipelines can treat the service like a
- * blocking runner.
+ * `submit --wait` blocks on WAIT until the job completes and exits
+ * non-zero if any cell failed, so shell pipelines can treat the
+ * service like a blocking runner.
  *
  * `stream` feeds a recorded DLRNTRC1 trace to the service over the
  * TRACE-STREAM opcodes in --chunks pieces (cut by byte count, so cuts
@@ -338,9 +338,9 @@ cmdSubmit(const CliOptions &cli)
     if (!cli.wait)
         return 0;
 
-    // Capped exponential backoff (pollBackoffMs), not a fixed-period
-    // spin: short jobs still return promptly, long jobs stop hammering
-    // the daemon with STATUS frames every 100 ms.
+    // WAIT parks on the server until the job is terminal: a cache
+    // hit returns as soon as it is done, a long job costs one request
+    // per protocol::max_wait_ms.
     fatal_if(!client.waitForJob(info.job, double(cli.timeout_s)),
              "job %llu still running after %us",
              (unsigned long long)info.job, cli.timeout_s);
