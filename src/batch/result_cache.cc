@@ -234,12 +234,18 @@ ResultCache::gc(const std::unordered_set<std::string> &keep) const
 void
 ResultCache::recordRun(std::uint64_t executed, std::uint64_t cached) const
 {
+    recordRuns({executed, cached, executed, cached});
+}
+
+void
+ResultCache::recordRuns(const RunStats &runs) const
+{
     const std::lock_guard<std::mutex> lock(stats_mutex);
     RunStats s = stats();
-    s.last_run_executed = executed;
-    s.last_run_cached = cached;
-    s.total_executed += executed;
-    s.total_cached += cached;
+    s.last_run_executed = runs.last_run_executed;
+    s.last_run_cached = runs.last_run_cached;
+    s.total_executed += runs.total_executed;
+    s.total_cached += runs.total_cached;
 
     const std::string path = dir_ + "/" + stats_name;
     const std::string tmp = path + tempSuffix();

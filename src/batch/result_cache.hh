@@ -116,6 +116,13 @@ class ResultCache
      */
     void recordRun(std::uint64_t executed, std::uint64_t cached) const;
 
+    /**
+     * Fold several runs at once: @p runs' totals add to the file's
+     * current totals and its last_run_* replace the file's. A daemon
+     * that batches its jobs' counters flushes them this way.
+     */
+    void recordRuns(const RunStats &runs) const;
+
     /** Current counters (zeros if no run recorded yet). */
     RunStats stats() const;
 

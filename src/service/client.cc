@@ -39,28 +39,44 @@ splitCommas(const std::string &text)
     return out;
 }
 
+/**
+ * Run @p parse over the key=value tokens of @p reply's first line.
+ * Reply values cross a process boundary, so they parse strictly
+ * (batch::parseCount: digits only, no sign, no trailing junk,
+ * range-checked); a malformed value, or a missing required key that
+ * @p parse reports as a batch::BatchError, becomes a ServiceError
+ * naming the request and the reply.
+ */
+template <typename Parse>
+auto
+parseReply(const char *what, const std::string &reply, Parse &&parse)
+{
+    try {
+        return parse(protocol::KeyValues(reply));
+    } catch (const batch::BatchError &e) {
+        throw ServiceError(std::string(what) + ": malformed reply '" +
+                           reply + "': " + e.what());
+    }
+}
+
+/** Report a parsed reply that lacks what it must carry. */
+void
+require(bool ok, const char *what)
+{
+    if (!ok)
+        throw batch::BatchError(what);
+}
+
 /** Shared STREAM-HANDOFF ack parse ("committed= stored= discarded="). */
 ServiceClient::StreamHandoffInfo
 parseHandoffReply(const std::string &reply)
 {
-    ServiceClient::StreamHandoffInfo info;
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("committed=", 0) == 0)
-                info.committed =
-                    unsigned(batch::parseCount(token.substr(10)));
-            else if (token.rfind("stored=", 0) == 0)
-                info.stored = batch::parseCount(token.substr(7));
-            else if (token.rfind("discarded=", 0) == 0)
-                info.discarded = batch::parseCount(token.substr(10));
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STREAM-HANDOFF: malformed reply '" + reply +
-                           "': " + e.what());
-    }
-    return info;
+    return parseReply("STREAM-HANDOFF", reply,
+                      [](const protocol::KeyValues &kv) {
+                          return ServiceClient::StreamHandoffInfo{
+                              unsigned(kv.count("committed")),
+                              kv.count("stored"), kv.count("discarded")};
+                      });
 }
 
 } // namespace
@@ -135,31 +151,15 @@ ServiceClient::submit(const std::string &manifest_text,
     workload::le::putU32(reinterpret_cast<std::uint8_t *>(body.data()),
                          priority);
     body += manifest_text;
-    const std::string reply = call(protocol::Opcode::Submit,
-                                   std::move(body));
-
-    // "job=<id> cells=<n>\n". The values cross a process boundary, so
-    // parse strictly (batch::parseCount: digits only, no sign, no
-    // trailing junk, range-checked) — a raw std::stoull would accept
-    // "-1" by wraparound, stop silently at "12x"'s junk, and escape as
-    // a bare std::invalid_argument on "abc" instead of a ServiceError.
-    SubmitInfo info;
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("job=", 0) == 0)
-                info.job = batch::parseCount(token.substr(4));
-            else if (token.rfind("cells=", 0) == 0)
-                info.cells = batch::parseCount(token.substr(6));
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("SUBMIT: malformed reply '" + reply +
-                           "': " + e.what());
-    }
-    if (info.job == 0)
-        throw ServiceError("SUBMIT: malformed reply '" + reply + "'");
-    return info;
+    // "job=<id> cells=<n>\n".
+    return parseReply("SUBMIT",
+                      call(protocol::Opcode::Submit, std::move(body)),
+                      [](const protocol::KeyValues &kv) {
+                          const SubmitInfo info{kv.count("job"),
+                                                kv.count("cells")};
+                          require(info.job != 0, "no job id");
+                          return info;
+                      });
 }
 
 std::string
@@ -174,76 +174,12 @@ ServiceClient::status()
     const std::string reply = statusText();
     ServiceStatus info;
 
-    // Line 1 is the counter header; every line after it belongs to a
+    // Line 1 is the counter line; every line after it belongs to a
     // job record. The header must be parsed on its own because job
     // records end in a client-controlled name that can embed key=value
     // lookalikes.
     const std::size_t eol = reply.find('\n');
-    const std::string header =
-        eol == std::string::npos ? reply : reply.substr(0, eol);
-    std::istringstream is(header);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("jobs=", 0) == 0)
-                info.jobs_submitted =
-                    batch::parseCount(token.substr(5));
-            else if (token.rfind("completed=", 0) == 0)
-                info.jobs_completed =
-                    batch::parseCount(token.substr(10));
-            else if (token.rfind("job_failures=", 0) == 0)
-                info.job_failures = batch::parseCount(token.substr(13));
-            else if (token.rfind("queue_depth=", 0) == 0)
-                info.queue_depth = batch::parseCount(token.substr(12));
-            else if (token.rfind("running=", 0) == 0)
-                info.running = batch::parseCount(token.substr(8));
-            else if (token.rfind("cells_enqueued=", 0) == 0)
-                info.cells_enqueued =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_deduped=", 0) == 0)
-                info.cells_deduped =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("cells_executed=", 0) == 0)
-                info.cells_executed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_cached=", 0) == 0)
-                info.cells_cached = batch::parseCount(token.substr(13));
-            else if (token.rfind("cells_total=", 0) == 0)
-                info.fleet_stats.cells_total =
-                    batch::parseCount(token.substr(12));
-            else if (token.rfind("units_ready=", 0) == 0) {
-                info.fleet = true;
-                info.fleet_stats.units_ready =
-                    batch::parseCount(token.substr(12));
-            } else if (token.rfind("units_leased=", 0) == 0)
-                info.fleet_stats.units_leased =
-                    batch::parseCount(token.substr(13));
-            else if (token.rfind("leases_granted=", 0) == 0)
-                info.fleet_stats.leases_granted =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("leases_expired=", 0) == 0)
-                info.fleet_stats.leases_expired =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("streams=", 0) == 0)
-                info.fleet_stats.streams =
-                    batch::parseCount(token.substr(8));
-            else if (token.rfind("stream_leases=", 0) == 0)
-                info.fleet_stats.stream_leases =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("stream_windows=", 0) == 0)
-                info.fleet_stats.stream_windows =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("streams_finished=", 0) == 0)
-                info.fleet_stats.streams_finished =
-                    batch::parseCount(token.substr(17));
-            else if (token.rfind("streams_failed=", 0) == 0)
-                info.fleet_stats.streams_failed =
-                    batch::parseCount(token.substr(15));
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STATUS: malformed reply header '" + header +
-                           "': " + e.what());
-    }
+    parseCounterLine(reply.substr(0, eol), info, info.fleet_stats);
 
     // Job records: a "job=" line opens one, indented lines (the
     // "  error:" diagnostic) attach to the open record.
@@ -330,58 +266,37 @@ ServiceClient::lease(const std::string &worker_name, unsigned wait_ms)
     LeaseInfo info;
     if (reply == "none\n" || reply == "none")
         return info;
-
     const std::size_t eol = reply.find('\n');
-    const std::string header =
-        eol == std::string::npos ? reply : reply.substr(0, eol);
-    info.manifest =
-        eol == std::string::npos ? "" : reply.substr(eol + 1);
-    std::istringstream is(header);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("lease=", 0) == 0) {
-                info.lease = batch::parseCount(token.substr(6));
-            } else if (token.rfind("deadline-ms=", 0) == 0) {
-                info.deadline_ms =
-                    unsigned(batch::parseCount(token.substr(12)));
-            } else if (token.rfind("job=", 0) == 0) {
-                info.job = batch::parseCount(token.substr(4));
-            } else if (token.rfind("cells=", 0) == 0) {
-                for (const auto &v : splitCommas(token.substr(6)))
-                    info.cells.push_back(
-                        std::size_t(batch::parseCount(v)));
-            } else if (token.rfind("keys=", 0) == 0) {
-                for (const auto &v : splitCommas(token.substr(5)))
-                    info.keys.push_back(batch::CacheKey::fromHex(v));
-            }
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("LEASE: malformed reply header '" + header +
-                           "': " + e.what());
-    }
-    if (info.lease == 0 || info.job == 0 || info.cells.empty() ||
-        info.keys.size() != info.cells.size())
-        throw ServiceError("LEASE: malformed reply header '" + header +
-                           "'");
-    info.idle = false;
-    return info;
+    info.manifest = eol == std::string::npos ? "" : reply.substr(eol + 1);
+    return parseReply(
+        "LEASE", reply.substr(0, eol),
+        [&](const protocol::KeyValues &kv) {
+            info.lease = kv.count("lease");
+            info.deadline_ms = unsigned(kv.count("deadline-ms"));
+            info.job = kv.count("job");
+            for (const auto &v : splitCommas(kv.get("cells").value_or("")))
+                info.cells.push_back(std::size_t(batch::parseCount(v)));
+            for (const auto &v : splitCommas(kv.get("keys").value_or("")))
+                info.keys.push_back(batch::CacheKey::fromHex(v));
+            require(info.lease != 0 && info.job != 0 &&
+                        info.keys.size() == info.cells.size(),
+                    "incomplete lease header");
+            info.idle = false;
+            return info;
+        });
 }
 
 unsigned
 ServiceClient::renew(std::uint64_t lease)
 {
-    const std::string reply =
-        call(protocol::Opcode::Renew, "lease=" + std::to_string(lease));
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token)
-            if (token.rfind("deadline-ms=", 0) == 0)
-                return unsigned(batch::parseCount(token.substr(12)));
-    } catch (const batch::BatchError &) {
-    }
-    throw ServiceError("RENEW: malformed reply '" + reply + "'");
+    return parseReply("RENEW",
+                      call(protocol::Opcode::Renew,
+                           "lease=" + std::to_string(lease)),
+                      [](const protocol::KeyValues &kv) {
+                          require(kv.get("deadline-ms").has_value(),
+                                  "no deadline-ms");
+                          return unsigned(kv.count("deadline-ms"));
+                      });
 }
 
 ServiceClient::CompleteInfo
@@ -405,38 +320,23 @@ ServiceClient::completeCall(std::uint64_t lease, bool ok,
     auto reply = protocol::readReply(fd_);
     if (!reply.ok)
         throw ServiceError("COMPLETE: " + reply.body);
-
-    CompleteInfo info;
-    std::istringstream is(reply.body);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("stored=", 0) == 0)
-                info.stored = batch::parseCount(token.substr(7));
-            else if (token.rfind("discarded=", 0) == 0)
-                info.discarded = batch::parseCount(token.substr(10));
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("COMPLETE: malformed reply '" + reply.body +
-                           "': " + e.what());
-    }
-    return info;
+    return parseReply("COMPLETE", reply.body,
+                      [](const protocol::KeyValues &kv) {
+                          return CompleteInfo{kv.count("stored"),
+                                              kv.count("discarded")};
+                      });
 }
 
 std::uint64_t
 ServiceClient::streamOpen(const std::string &directives)
 {
-    const std::string reply =
-        call(protocol::Opcode::StreamOpen, directives);
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token)
-            if (token.rfind("stream=", 0) == 0)
-                return batch::parseCount(token.substr(7));
-    } catch (const batch::BatchError &) {
-    }
-    throw ServiceError("STREAM-OPEN: malformed reply '" + reply + "'");
+    return parseReply("STREAM-OPEN",
+                      call(protocol::Opcode::StreamOpen, directives),
+                      [](const protocol::KeyValues &kv) {
+                          require(kv.get("stream").has_value(),
+                                  "no stream id");
+                          return kv.count("stream");
+                      });
 }
 
 ServiceClient::StreamAppendInfo
@@ -445,107 +345,60 @@ ServiceClient::streamAppend(std::uint64_t stream,
 {
     std::string body = "stream=" + std::to_string(stream) + "\n";
     body += bytes;
-    const std::string reply =
-        call(protocol::Opcode::StreamAppend, std::move(body));
-
-    StreamAppendInfo info;
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("received=", 0) == 0)
-                info.received = batch::parseCount(token.substr(9));
-            else if (token.rfind("records=", 0) == 0)
-                info.records = batch::parseCount(token.substr(8));
-            else if (token.rfind("windows_fed=", 0) == 0)
-                info.windows_fed =
-                    unsigned(batch::parseCount(token.substr(12)));
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STREAM-APPEND: malformed reply '" + reply +
-                           "': " + e.what());
-    }
-    return info;
+    return parseReply(
+        "STREAM-APPEND",
+        call(protocol::Opcode::StreamAppend, std::move(body)),
+        [](const protocol::KeyValues &kv) {
+            return StreamAppendInfo{kv.count("received"),
+                                    kv.count("records"),
+                                    unsigned(kv.count("windows_fed"))};
+        });
 }
 
 ServiceClient::StreamCloseInfo
 ServiceClient::streamClose(std::uint64_t stream)
 {
-    const std::string reply = call(protocol::Opcode::StreamClose,
-                                   "stream=" + std::to_string(stream));
-
-    StreamCloseInfo info;
-    bool have_key = false;
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("key=", 0) == 0) {
-                info.key = batch::CacheKey::fromHex(token.substr(4));
-                have_key = true;
-            } else if (token.rfind("windows=", 0) == 0) {
-                info.windows =
-                    unsigned(batch::parseCount(token.substr(8)));
-            }
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STREAM-CLOSE: malformed reply '" + reply +
-                           "': " + e.what());
-    }
-    if (!have_key)
-        throw ServiceError("STREAM-CLOSE: malformed reply '" + reply +
-                           "'");
-    return info;
+    return parseReply(
+        "STREAM-CLOSE",
+        call(protocol::Opcode::StreamClose,
+             "stream=" + std::to_string(stream)),
+        [](const protocol::KeyValues &kv) {
+            const auto key = kv.get("key");
+            require(key.has_value(), "no key");
+            return StreamCloseInfo{batch::CacheKey::fromHex(*key),
+                                   unsigned(kv.count("windows"))};
+        });
 }
 
 ServiceClient::StreamStatus
 ServiceClient::streamStatus(std::uint64_t stream)
 {
-    const std::string reply = call(protocol::Opcode::Status,
-                                   "stream=" + std::to_string(stream));
-
-    StreamStatus info;
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("records=", 0) == 0)
-                info.records = batch::parseCount(token.substr(8));
-            else if (token.rfind("windows_fed=", 0) == 0)
-                info.windows_fed =
-                    unsigned(batch::parseCount(token.substr(12)));
-            else if (token.rfind("windows_total=", 0) == 0)
-                info.windows_total =
-                    unsigned(batch::parseCount(token.substr(14)));
-            else if (token.rfind("est_cpi=", 0) == 0)
-                info.est_cpi = batch::parseReal(token.substr(8));
-            else if (token.rfind("ci_error=", 0) == 0)
-                info.ci_error = batch::parseReal(token.substr(9));
-            else if (token.rfind("mpki=", 0) == 0)
-                info.mpki = batch::parseReal(token.substr(5));
-            else if (token.rfind("complete=", 0) == 0)
-                info.complete =
-                    batch::parseCount(token.substr(9)) != 0;
-            else if (token.rfind("mrc=", 0) == 0) {
-                for (const auto &point : splitCommas(token.substr(4))) {
-                    const std::size_t colon = point.find(':');
-                    if (colon == std::string::npos)
-                        throw batch::BatchError("mrc point '" + point +
-                                                "' has no ':'");
-                    info.mrc.emplace_back(
-                        batch::parseCount(point.substr(0, colon)),
-                        batch::parseReal(point.substr(colon + 1)));
-                }
+    return parseReply(
+        "STATUS",
+        call(protocol::Opcode::Status,
+             "stream=" + std::to_string(stream)),
+        [](const protocol::KeyValues &kv) {
+            StreamStatus info;
+            info.records = kv.count("records");
+            info.windows_fed = unsigned(kv.count("windows_fed"));
+            info.windows_total = unsigned(kv.count("windows_total"));
+            info.est_cpi = kv.real("est_cpi");
+            info.ci_error = kv.real("ci_error");
+            info.mpki = kv.real("mpki");
+            info.complete = kv.count("complete") != 0;
+            const auto mrc = kv.get("mrc");
+            for (const auto &point : mrc ? splitCommas(*mrc)
+                                         : std::vector<std::string>{}) {
+                const std::size_t colon = point.find(':');
+                require(colon != std::string::npos,
+                        "mrc point has no ':'");
+                info.mrc.emplace_back(
+                    batch::parseCount(point.substr(0, colon)),
+                    batch::parseReal(point.substr(colon + 1)));
             }
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STATUS: malformed stream reply '" + reply +
-                           "': " + e.what());
-    }
-    if (info.windows_total == 0)
-        throw ServiceError("STATUS: malformed stream reply '" + reply +
-                           "'");
-    return info;
+            require(info.windows_total != 0, "no windows_total");
+            return info;
+        });
 }
 
 ServiceClient::StreamLeaseInfo
@@ -559,54 +412,28 @@ ServiceClient::streamLease(const std::string &worker_name)
     StreamLeaseInfo info;
     if (reply == "none\n" || reply == "none")
         return info;
-
     const std::size_t eol = reply.find('\n');
-    const std::string header =
-        eol == std::string::npos ? reply : reply.substr(0, eol);
-    info.directives =
-        eol == std::string::npos ? "" : reply.substr(eol + 1);
-    bool have_lease = false, have_stream = false, have_to = false;
-    std::istringstream is(header);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("lease=", 0) == 0) {
-                info.lease = batch::parseCount(token.substr(6));
-                have_lease = true;
-            } else if (token.rfind("deadline-ms=", 0) == 0) {
-                info.deadline_ms =
-                    unsigned(batch::parseCount(token.substr(12)));
-            } else if (token.rfind("stream=", 0) == 0) {
-                info.stream = batch::parseCount(token.substr(7));
-                have_stream = true;
-            } else if (token.rfind("from=", 0) == 0) {
-                info.from =
-                    unsigned(batch::parseCount(token.substr(5)));
-            } else if (token.rfind("to=", 0) == 0) {
-                info.to = unsigned(batch::parseCount(token.substr(3)));
-                have_to = true;
-            } else if (token.rfind("finish=", 0) == 0) {
-                info.finish =
-                    batch::parseCount(token.substr(7)) != 0;
-            } else if (token.rfind("records=", 0) == 0) {
-                info.records = batch::parseCount(token.substr(8));
-            } else if (token.rfind("trace=", 0) == 0) {
-                info.trace = token.substr(6);
-            } else if (token.rfind("prefix=", 0) == 0) {
-                info.prefix = token.substr(7);
-            }
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STREAM-LEASE: malformed reply header '" +
-                           header + "': " + e.what());
-    }
-    if (!have_lease || !have_stream || !have_to ||
-        info.trace.empty() || info.prefix.empty() ||
-        info.to < info.from)
-        throw ServiceError("STREAM-LEASE: malformed reply header '" +
-                           header + "'");
-    info.idle = false;
-    return info;
+    info.directives = eol == std::string::npos ? "" : reply.substr(eol + 1);
+    return parseReply(
+        "STREAM-LEASE", reply.substr(0, eol),
+        [&](const protocol::KeyValues &kv) {
+            require(kv.get("lease") && kv.get("stream") && kv.get("to"),
+                    "incomplete stream-lease header");
+            info.lease = kv.count("lease");
+            info.deadline_ms = unsigned(kv.count("deadline-ms"));
+            info.stream = kv.count("stream");
+            info.from = unsigned(kv.count("from"));
+            info.to = unsigned(kv.count("to"));
+            info.finish = kv.count("finish") != 0;
+            info.records = kv.count("records");
+            info.trace = kv.get("trace").value_or("");
+            info.prefix = kv.get("prefix").value_or("");
+            require(!info.trace.empty() && !info.prefix.empty() &&
+                        info.to >= info.from,
+                    "incomplete stream-lease header");
+            info.idle = false;
+            return info;
+        });
 }
 
 ServiceClient::StreamHandoffInfo
@@ -663,105 +490,21 @@ ServiceClient::statsText()
 ServiceStats
 ServiceClient::stats()
 {
+    // Line 1: the result cache's run counters; line 2: the counter
+    // line STATUS also starts with.
     const std::string reply = statsText();
-    ServiceStats info;
-    // Unlike STATUS, a STATS reply carries no client-controlled text,
-    // and its key names are unique across both lines — one token scan
-    // over the whole reply covers daemon and coordinator variants.
-    std::istringstream is(reply);
-    std::string token;
-    try {
-        while (is >> token) {
-            if (token.rfind("last_run_executed=", 0) == 0)
-                info.last_run_executed =
-                    batch::parseCount(token.substr(18));
-            else if (token.rfind("last_run_cached=", 0) == 0)
-                info.last_run_cached =
-                    batch::parseCount(token.substr(16));
-            else if (token.rfind("total_executed=", 0) == 0)
-                info.total_executed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("total_cached=", 0) == 0)
-                info.total_cached = batch::parseCount(token.substr(13));
-            else if (token.rfind("jobs=", 0) == 0)
-                info.jobs_submitted =
-                    batch::parseCount(token.substr(5));
-            else if (token.rfind("completed=", 0) == 0)
-                info.jobs_completed =
-                    batch::parseCount(token.substr(10));
-            else if (token.rfind("job_failures=", 0) == 0)
-                info.job_failures = batch::parseCount(token.substr(13));
-            else if (token.rfind("cells_executed=", 0) == 0)
-                info.cells_executed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_cached=", 0) == 0)
-                info.cells_cached = batch::parseCount(token.substr(13));
-            else if (token.rfind("cells_enqueued=", 0) == 0)
-                info.cells_enqueued =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("cells_deduped=", 0) == 0)
-                info.cells_deduped =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("queue_depth=", 0) == 0)
-                info.queue_depth = batch::parseCount(token.substr(12));
-            else if (token.rfind("running=", 0) == 0)
-                info.running = batch::parseCount(token.substr(8));
-            else if (token.rfind("spool_processed=", 0) == 0)
-                info.spool_processed =
-                    batch::parseCount(token.substr(16));
-            else if (token.rfind("parked=", 0) == 0)
-                info.parked = batch::parseCount(token.substr(7));
-            else if (token.rfind("cells_total=", 0) == 0)
-                info.fleet_stats.cells_total =
-                    batch::parseCount(token.substr(12));
-            else if (token.rfind("units_ready=", 0) == 0) {
-                info.fleet = true;
-                info.fleet_stats.units_ready =
-                    batch::parseCount(token.substr(12));
-            } else if (token.rfind("units_leased=", 0) == 0)
-                info.fleet_stats.units_leased =
-                    batch::parseCount(token.substr(13));
-            else if (token.rfind("leases_granted=", 0) == 0)
-                info.fleet_stats.leases_granted =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("leases_renewed=", 0) == 0)
-                info.fleet_stats.leases_renewed =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("leases_expired=", 0) == 0)
-                info.fleet_stats.leases_expired =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("results_stored=", 0) == 0)
-                info.fleet_stats.results_stored =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("results_discarded=", 0) == 0)
-                info.fleet_stats.results_discarded =
-                    batch::parseCount(token.substr(18));
-            else if (token.rfind("quota_rejections=", 0) == 0)
-                info.fleet_stats.quota_rejections =
-                    batch::parseCount(token.substr(17));
-            else if (token.rfind("streams=", 0) == 0)
-                info.fleet_stats.streams =
-                    batch::parseCount(token.substr(8));
-            else if (token.rfind("stream_leases=", 0) == 0)
-                info.fleet_stats.stream_leases =
-                    batch::parseCount(token.substr(14));
-            else if (token.rfind("stream_handoffs=", 0) == 0)
-                info.fleet_stats.stream_handoffs =
-                    batch::parseCount(token.substr(16));
-            else if (token.rfind("stream_windows=", 0) == 0)
-                info.fleet_stats.stream_windows =
-                    batch::parseCount(token.substr(15));
-            else if (token.rfind("streams_finished=", 0) == 0)
-                info.fleet_stats.streams_finished =
-                    batch::parseCount(token.substr(17));
-            else if (token.rfind("streams_failed=", 0) == 0)
-                info.fleet_stats.streams_failed =
-                    batch::parseCount(token.substr(15));
-        }
-    } catch (const batch::BatchError &e) {
-        throw ServiceError("STATS: malformed reply '" + reply + "': " +
-                           e.what());
-    }
+    ServiceStats info = parseReply(
+        "STATS", reply, [](const protocol::KeyValues &kv) {
+            ServiceStats runs;
+            runs.last_run_executed = kv.count("last_run_executed");
+            runs.last_run_cached = kv.count("last_run_cached");
+            runs.total_executed = kv.count("total_executed");
+            runs.total_cached = kv.count("total_cached");
+            return runs;
+        });
+    const std::size_t eol = reply.find('\n');
+    if (eol != std::string::npos)
+        parseCounterLine(reply.substr(eol + 1), info, info.fleet_stats);
     return info;
 }
 

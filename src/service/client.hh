@@ -11,10 +11,12 @@
  * in docs/service.md, "Reply grammar") and every accessor parses them
  * into a typed struct — status() → ServiceStatus, jobStatus() →
  * JobStatus, stats() → ServiceStats — so no caller outside the CLI's
- * display path ever string-matches raw reply text. The CLI renders
- * the raw text (statusText()/statsText()) because that text *is* the
- * human-readable format; everything programmatic goes through the
- * typed structs.
+ * display path ever string-matches raw reply text. The daemon and the
+ * coordinator answer STATUS and STATS with one counter line
+ * (service/queue.hh, counterLine()), so one parser per reply serves
+ * both. The CLI renders the raw text (statusText()/statsText())
+ * because that text *is* the human-readable format; everything
+ * programmatic goes through the typed structs.
  *
  * A RESULT fetch parses the server's raw record bytes with the same
  * batch/result_io.hh reader the local cache uses, so the returned
@@ -39,84 +41,24 @@ namespace delorean::service
 {
 
 /**
- * Fleet-coordinator counters, nested in ServiceStatus/ServiceStats
- * when the peer is a coordinator (detected by the units_ready= key,
- * which only coordinators emit). Single-host daemons leave it zeroed.
+ * Typed global STATUS reply: the counter line (the same keys on the
+ * daemon and the coordinator), then one record per retained job.
  */
-struct FleetStats
+struct ServiceStatus : ServiceCounters
 {
-    std::uint64_t cells_total = 0;
-    std::uint64_t units_ready = 0;
-    std::uint64_t units_leased = 0;
-    std::uint64_t leases_granted = 0;
-    std::uint64_t leases_renewed = 0; //!< STATS only
-    std::uint64_t leases_expired = 0;
-    std::uint64_t results_stored = 0;    //!< STATS only
-    std::uint64_t results_discarded = 0; //!< STATS only
-    std::uint64_t quota_rejections = 0;  //!< STATS only
-    std::uint64_t streams = 0;           //!< fleet streams opened
-    std::uint64_t stream_leases = 0;
-    std::uint64_t stream_handoffs = 0; //!< STATS only
-    std::uint64_t stream_windows = 0;  //!< windows committed via handoff
-    std::uint64_t streams_finished = 0;
-    std::uint64_t streams_failed = 0;
-};
-
-/**
- * Typed global STATUS reply. The daemon and the coordinator share the
- * job-level counters; the per-process execution counters live on the
- * daemon side and the lease/stream bookkeeping on the fleet side.
- */
-struct ServiceStatus
-{
-    bool fleet = false; //!< reply came from a fleet coordinator
-
-    std::uint64_t jobs_submitted = 0;
-    std::uint64_t jobs_completed = 0;
-    std::uint64_t job_failures = 0;
-    std::uint64_t cells_deduped = 0;
-    std::uint64_t cells_cached = 0;
-
-    // Single-host daemon only.
-    std::uint64_t queue_depth = 0;
-    std::uint64_t running = 0;
-    std::uint64_t cells_enqueued = 0;
-    std::uint64_t cells_executed = 0;
-
-    FleetStats fleet_stats; //!< meaningful when fleet
-
+    FleetStats fleet_stats; //!< lease and stream-migration counters
     std::vector<JobStatus> jobs; //!< submission order
 };
 
-/** Typed STATS reply (result-cache + service counters). */
-struct ServiceStats
+/** Typed STATS reply: the result cache's run counters, then the same
+ *  counter line as STATUS. */
+struct ServiceStats : ServiceCounters
 {
-    bool fleet = false; //!< reply came from a fleet coordinator
-
-    // Result-cache run counters (batch::ResultCache::stats()).
-    std::uint64_t last_run_executed = 0;
-    std::uint64_t last_run_cached = 0;
-    std::uint64_t total_executed = 0;
-    std::uint64_t total_cached = 0;
-
-    std::uint64_t jobs_submitted = 0;
-    std::uint64_t jobs_completed = 0;
-    std::uint64_t job_failures = 0;
-    std::uint64_t cells_deduped = 0;
-    std::uint64_t cells_cached = 0;
-
-    // Single-host daemon only.
-    std::uint64_t cells_executed = 0;
-    std::uint64_t cells_enqueued = 0;
-    std::uint64_t queue_depth = 0;
-    std::uint64_t running = 0;
-    std::uint64_t spool_processed = 0;
-
-    /** Requests parked right now (both servers): WAITs, plus LEASE
-     *  wait_ms and STREAM-CLOSE on a coordinator. */
-    std::uint64_t parked = 0;
-
-    FleetStats fleet_stats; //!< meaningful when fleet
+    std::uint64_t last_run_executed = 0; //!< cells run, last job
+    std::uint64_t last_run_cached = 0;   //!< cells served, last job
+    std::uint64_t total_executed = 0;    //!< cells run, lifetime
+    std::uint64_t total_cached = 0;      //!< cells served, lifetime
+    FleetStats fleet_stats; //!< lease and stream-migration counters
 };
 
 /**

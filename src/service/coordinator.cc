@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 
 #include "base/logging.hh"
 #include "batch/error.hh"
@@ -13,12 +12,9 @@
 #include "batch/runner.hh"
 #include "checkpoint/livepoint.hh"
 #include "service/server.hh"
-#include "workload/endian.hh"
 
 namespace delorean::service
 {
-
-namespace le = workload::le;
 
 namespace
 {
@@ -31,53 +27,15 @@ namespace
  */
 constexpr std::size_t max_retained_expired = 1024;
 
-/** Split one header line into its space-separated k=v tokens. */
-std::vector<std::string>
-headerTokens(const std::string &body)
-{
-    const std::size_t eol = body.find('\n');
-    const std::string line =
-        eol == std::string::npos ? body : body.substr(0, eol);
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string token;
-    while (is >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
-/** The value of the first "<key>=" token, or nullopt. */
-std::optional<std::string>
-tokenValue(const std::vector<std::string> &tokens,
-           const std::string &key)
-{
-    const std::string prefix = key + "=";
-    for (const auto &token : tokens)
-        if (token.rfind(prefix, 0) == 0)
-            return token.substr(prefix.size());
-    return std::nullopt;
-}
-
-/** Parse a "stream=<id>" token (optional trailing newline). */
-std::uint64_t
-parseStreamId(std::string text, const char *what)
-{
-    if (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    if (text.rfind("stream=", 0) != 0)
-        throw ServiceError(std::string(what) +
-                           ": expected stream=<id>, got '" + text + "'");
-    try {
-        return batch::parseCount(text.substr(sizeof("stream=") - 1));
-    } catch (const batch::BatchError &e) {
-        throw ServiceError(std::string(what) + ": " + e.what());
-    }
-}
-
 } // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)), cache_(config_.cache_dir)
+    : config_(std::move(config)), cache_(config_.cache_dir),
+      jobs_(cache_,
+            [this](ServiceCounters &jobs, FleetStats &fleet) {
+                addCounters(jobs, fleet);
+            },
+            [this] { requestShutdown(); })
 {
     if (config_.socket_path.empty())
         throw ServiceError("coordinator: no socket path");
@@ -97,6 +55,9 @@ Coordinator::~Coordinator()
 void
 Coordinator::requestShutdown()
 {
+    // Parked WAITs first, so each answers before run() stops the
+    // server (as on the daemon).
+    jobs_.releaseWaiters();
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
     work_cv_.notify_all();
@@ -106,29 +67,42 @@ Coordinator::requestShutdown()
 void
 Coordinator::run()
 {
-    SocketServer server(config_.socket_path,
-                        [this](const protocol::Request &request,
-                               std::uint64_t client) {
-                            return handle(request, client);
-                        });
-    server.start();
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] listening on %s (cache %s, "
-                     "lease %u ms)\n",
-                     config_.socket_path.c_str(), cache_.dir().c_str(),
-                     config_.lease_ms);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return shutdown_; });
-    // The lock drops first; then ~SocketServer stops accepting and
-    // joins connections, whose parked requests shutdown_ released.
+    {
+        SocketServer server(config_.socket_path,
+                            [this](const protocol::Request &request,
+                                   std::uint64_t client) {
+                                return handle(request, client);
+                            });
+        server.start();
+        verboseLog(config_.verbose,
+                   "[coordinator] listening on %s (cache %s, lease %u ms)\n",
+                   config_.socket_path.c_str(), cache_.dir().c_str(),
+                   config_.lease_ms);
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_cv_.wait(lock, [&] { return shutdown_; });
+        // The lock drops first; then ~SocketServer stops accepting
+        // and joins connections, whose parked requests shutdown_
+        // released.
+    }
+    jobs_.close();
+    jobs_.flush();
 }
 
 Coordinator::Counters
 Coordinator::counters() const
 {
+    Counters counters;
+    static_cast<ServiceCounters &>(counters) = jobs_.counters();
+    addCounters(counters, counters);
+    return counters;
+}
+
+void
+Coordinator::addCounters(ServiceCounters &jobs, FleetStats &fleet) const
+{
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    fleet = fleet_;
+    jobs.parked += parked_;
 }
 
 protocol::Reply
@@ -139,29 +113,15 @@ Coordinator::handle(const protocol::Request &request,
       case protocol::Opcode::Submit:
         return handleSubmit(request.body, client);
       case protocol::Opcode::Status:
-        return handleStatus(request.body);
-      case protocol::Opcode::Result:
-        return handleResult(request.body);
-      case protocol::Opcode::Stats:
-        return handleStats();
-      case protocol::Opcode::Wait:
-        return handleWait(request.body);
+        if (request.body.rfind("stream=", 0) == 0)
+            return handleStreamStatus(request.body);
+        break;
       case protocol::Opcode::Lease:
         return handleLease(request.body);
       case protocol::Opcode::Renew:
         return handleRenew(request.body);
       case protocol::Opcode::Complete:
         return handleComplete(request.body);
-      case protocol::Opcode::Shutdown: {
-        protocol::Reply reply{true, "ok\n", nullptr};
-        reply.after_send = [this] { requestShutdown(); };
-        return reply;
-      }
-      case protocol::Opcode::ResultPart:
-      case protocol::Opcode::ResultEnd:
-        // readRequest() rejects these standalone; belt and braces.
-        return protocol::Reply::error(
-            "continuation frame outside a COMPLETE stream");
       case protocol::Opcode::StreamOpen:
         return handleStreamOpen(request.body);
       case protocol::Opcode::StreamAppend:
@@ -172,34 +132,18 @@ Coordinator::handle(const protocol::Request &request,
         return handleStreamLease(request.body);
       case protocol::Opcode::StreamHandoff:
         return handleStreamHandoff(request.body);
+      default:
+        break;
     }
-    return protocol::Reply::error("unhandled opcode");
+    return jobs_.handle(request);
 }
-
-namespace
-{
-
-/** Ready-heap order: highest priority, then oldest, first. */
-struct UnitBelow
-{
-    template <typename Unit>
-    bool
-    operator()(const Unit &a, const Unit &b) const
-    {
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
-        return a.seq > b.seq;
-    }
-};
-
-} // namespace
 
 void
 Coordinator::enqueueUnitLocked(Unit unit)
 {
     ready_.push_back(std::move(unit));
-    std::push_heap(ready_.begin(), ready_.end(), UnitBelow{});
-    counters_.units_ready = ready_.size();
+    std::push_heap(ready_.begin(), ready_.end(), heapBelow<Unit>);
+    fleet_.units_ready = ready_.size();
     work_cv_.notify_all();
 }
 
@@ -220,30 +164,25 @@ Coordinator::parkLocked(std::condition_variable &cv,
                         std::unique_lock<std::mutex> &lock,
                         Clock::time_point until)
 {
-    ++counters_.parked;
+    ++parked_;
     cv.wait_until(lock, until);
-    --counters_.parked;
+    --parked_;
 }
 
 protocol::Reply
 Coordinator::handleSubmit(const std::string &body,
                           std::uint64_t client)
 {
-    if (body.size() < 4)
-        throw ServiceError("SUBMIT: missing priority prefix");
-    const std::uint32_t raw_priority = le::getU32(
-        reinterpret_cast<const std::uint8_t *>(body.data()));
-    const int priority = int(std::min(raw_priority, 1000u));
-    const std::string text = body.substr(4);
-
-    const auto plan =
-        batch::BatchPlan::fromManifestText(text, "submit");
+    // Parse and probe before taking mutex_: the probes are the slow
+    // part of a hit, and nothing they read is the coordinator's.
+    const JobQueue::Submission submit = jobs_.submission(body);
+    const auto manifest =
+        std::make_shared<const std::string>(submit.manifest);
 
     std::lock_guard<std::mutex> lock(mutex_);
-
     if (config_.submit_quota != 0 &&
         jobs_by_client_[client] >= config_.submit_quota) {
-        ++counters_.quota_rejections;
+        ++fleet_.quota_rejections;
         return protocol::Reply::error(
             "submit quota exceeded (" +
             std::to_string(config_.submit_quota) +
@@ -251,102 +190,55 @@ Coordinator::handleSubmit(const std::string &body,
             "completes");
     }
 
-    // Classify every cell before mutating anything, so a backlog
-    // rejection leaves no half-registered job behind.
-    enum class Fate
-    {
-        Cached,  //!< already in the result cache
-        Attach,  //!< key pending for an earlier job (or earlier cell)
-        Fresh,   //!< needs a new work unit
-    };
-    std::vector<Fate> fates(plan.cells().size(), Fate::Fresh);
-    std::vector<const batch::BatchCell *> fresh;
-    std::unordered_set<std::string> fresh_hexes;
-    for (const auto &cell : plan.cells()) {
-        const std::string hex = cell.key.hex();
-        if (waiters_.count(hex) || fresh_hexes.count(hex)) {
-            fates[cell.index] = Fate::Attach;
-        } else if (cache_.load(cell.key)) {
-            fates[cell.index] = Fate::Cached;
-        } else {
-            fresh_hexes.insert(hex);
-            fresh.push_back(&cell);
-        }
+    std::size_t units = 0;
+    JobQueue::Added added;
+    try {
+        added = jobs_.add(
+            submit.plan, submit.probe,
+            {"socket", JobSource::Socket, submit.priority, "", client},
+            [&](std::uint64_t id,
+                const std::vector<const batch::BatchCell *> &fresh) {
+                const auto groups = batch::planWorkUnits(fresh);
+                if (ready_.size() + groups.size() >
+                    config_.max_ready_units) {
+                    ++fleet_.quota_rejections;
+                    throw ServiceError(
+                        "coordinator backlog full (" +
+                        std::to_string(ready_.size()) +
+                        " units awaiting workers); retry later");
+                }
+                for (const auto &members : groups) {
+                    Unit unit;
+                    unit.job = id;
+                    unit.manifest = manifest;
+                    unit.priority = submit.priority;
+                    unit.seq = next_seq_++;
+                    for (const std::size_t j : members) {
+                        unit.indices.push_back(fresh[j]->index);
+                        unit.keys.push_back(fresh[j]->key);
+                    }
+                    enqueueUnitLocked(std::move(unit));
+                }
+                units = groups.size();
+            });
+    } catch (const ServiceError &e) {
+        return protocol::Reply::error(e.what());
     }
-    const auto unit_indices = batch::planWorkUnits(fresh);
-    if (ready_.size() + unit_indices.size() > config_.max_ready_units) {
-        ++counters_.quota_rejections;
-        return protocol::Reply::error(
-            "coordinator backlog full (" +
-            std::to_string(ready_.size()) +
-            " units awaiting workers); retry later");
-    }
-
-    const std::uint64_t id = next_job_++;
-    JobRec record;
-    record.status.id = id;
-    record.status.name = "socket";
-    record.status.source = JobSource::Socket;
-    record.status.priority = priority;
-    record.status.cells = plan.cells().size();
-    record.manifest = text;
-    record.client = client;
-    ++counters_.jobs_submitted;
-    counters_.cells_total += plan.cells().size();
     ++jobs_by_client_[client];
-    auto &job = jobs_.emplace(id, std::move(record)).first->second;
-    job_order_.push_back(id);
-
-    for (const auto &cell : plan.cells()) {
-        const std::string hex = cell.key.hex();
-        switch (fates[cell.index]) {
-          case Fate::Cached:
-            ++job.status.done;
-            ++job.cached;
-            ++counters_.cells_cached;
-            break;
-          case Fate::Attach:
-            waiters_[hex].push_back({id, cell.index});
-            ++counters_.cells_deduped;
-            break;
-          case Fate::Fresh:
-            waiters_[hex].push_back({id, cell.index});
-            break;
-        }
-    }
-    for (const auto &members : unit_indices) {
-        Unit unit;
-        unit.job = id;
-        unit.priority = priority;
-        unit.seq = next_seq_++;
-        for (const std::size_t j : members) {
-            unit.indices.push_back(fresh[j]->index);
-            unit.keys.push_back(fresh[j]->key);
-        }
-        enqueueUnitLocked(std::move(unit));
-    }
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] submit -> job %llu (%zu cells, "
-                     "%zu units)\n",
-                     (unsigned long long)id, plan.cells().size(),
-                     unit_indices.size());
-
-    if (job.status.complete())
-        finishJobLocked(job);
-
-    std::ostringstream os;
-    os << "job=" << id << " cells=" << plan.cells().size() << "\n";
-    return protocol::Reply::success(os.str());
+    verboseLog(config_.verbose,
+               "[coordinator] submit -> job %llu (%zu cells, %zu units)\n",
+               (unsigned long long)added.id, submit.plan.cells().size(),
+               units);
+    finishJobsLocked(added.finished);
+    return JobQueue::submitted(added.id, submit.plan.cells().size());
 }
 
 protocol::Reply
 Coordinator::handleLease(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const std::string worker =
-        tokenValue(tokens, "worker").value_or("");
-    const auto wait_text = tokenValue(tokens, "wait_ms");
+    const protocol::KeyValues header(body);
+    const std::string worker = header.get("worker").value_or("");
+    const auto wait_text = header.get("wait_ms");
     const unsigned wait_ms =
         wait_text ? protocol::parseWaitMs(*wait_text) : 0;
 
@@ -379,37 +271,24 @@ std::optional<protocol::Reply>
 Coordinator::grantUnitLocked(const std::string &worker)
 {
     while (!ready_.empty()) {
-        std::pop_heap(ready_.begin(), ready_.end(), UnitBelow{});
+        std::pop_heap(ready_.begin(), ready_.end(), heapBelow<Unit>);
         Unit unit = std::move(ready_.back());
         ready_.pop_back();
-        counters_.units_ready = ready_.size();
+        fleet_.units_ready = ready_.size();
 
         // Prune members resolved since the unit was queued (a zombie
         // COMPLETE that won the first write, or a failure fan-out).
-        Unit live;
-        live.job = unit.job;
-        live.priority = unit.priority;
-        live.seq = unit.seq;
-        for (std::size_t i = 0; i < unit.keys.size(); ++i) {
-            if (!waiters_.count(unit.keys[i].hex()))
-                continue;
-            live.indices.push_back(unit.indices[i]);
-            live.keys.push_back(unit.keys[i]);
-        }
+        Unit live = pendingPart(unit);
         if (live.indices.empty())
             continue; // fully resolved while queued; nothing to lease
-
-        const auto jt = jobs_.find(live.job);
-        if (jt == jobs_.end())
-            continue; // unreachable: waiters keep the job alive
 
         Lease lease;
         lease.id = next_lease_++;
         lease.unit = std::move(live);
         lease.worker = worker;
         armDeadlineLocked(lease);
-        ++counters_.leases_granted;
-        ++counters_.units_leased;
+        ++fleet_.leases_granted;
+        ++fleet_.units_leased;
 
         std::ostringstream os;
         os << "lease=" << lease.id
@@ -420,15 +299,13 @@ Coordinator::grantUnitLocked(const std::string &worker)
         os << " keys=";
         for (std::size_t i = 0; i < lease.unit.keys.size(); ++i)
             os << (i ? "," : "") << lease.unit.keys[i].hex();
-        os << "\n" << jt->second.manifest;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] lease %llu -> %s (job %llu, "
-                         "%zu cells)\n",
-                         (unsigned long long)lease.id,
-                         worker.empty() ? "worker" : worker.c_str(),
-                         (unsigned long long)lease.unit.job,
-                         lease.unit.indices.size());
+        os << "\n" << *lease.unit.manifest;
+        verboseLog(config_.verbose,
+                   "[coordinator] lease %llu -> %s (job %llu, %zu cells)\n",
+                   (unsigned long long)lease.id,
+                   worker.empty() ? "worker" : worker.c_str(),
+                   (unsigned long long)lease.unit.job,
+                   lease.unit.indices.size());
         const std::uint64_t lease_id = lease.id;
         leases_.emplace(lease_id, std::move(lease));
         return protocol::Reply::success(os.str());
@@ -439,8 +316,7 @@ Coordinator::grantUnitLocked(const std::string &worker)
 protocol::Reply
 Coordinator::handleRenew(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const auto id_text = tokenValue(tokens, "lease");
+    const auto id_text = protocol::KeyValues(body).get("lease");
     if (!id_text)
         return protocol::Reply::error("RENEW: missing lease id");
     const std::uint64_t id = batch::parseCount(*id_text);
@@ -452,7 +328,7 @@ Coordinator::handleRenew(const std::string &body)
         return protocol::Reply::error("RENEW: lease " + *id_text +
                                       " is not active");
     armDeadlineLocked(it->second);
-    ++counters_.leases_renewed;
+    ++fleet_.leases_renewed;
     return protocol::Reply::success(
         "deadline-ms=" + std::to_string(config_.lease_ms) + "\n");
 }
@@ -460,9 +336,9 @@ Coordinator::handleRenew(const std::string &body)
 protocol::Reply
 Coordinator::handleComplete(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const auto id_text = tokenValue(tokens, "lease");
-    const auto status = tokenValue(tokens, "status");
+    const protocol::KeyValues header(body);
+    const auto id_text = header.get("lease");
+    const auto status = header.get("status");
     if (!id_text || !status ||
         (*status != "ok" && *status != "error"))
         return protocol::Reply::error(
@@ -489,7 +365,7 @@ Coordinator::handleComplete(const std::string &body)
     Lease lease = std::move(it->second);
     leases_.erase(it);
     if (!lease.expired)
-        --counters_.units_leased;
+        --fleet_.units_leased;
 
     std::uint64_t stored = 0, discarded = 0;
     if (*status == "ok") {
@@ -507,53 +383,48 @@ Coordinator::handleComplete(const std::string &body)
         } catch (const batch::BatchError &e) {
             if (!lease.expired) {
                 for (const auto &key : lease.unit.keys)
-                    resolveKeyLocked(
-                        key.hex(), false,
+                    finishJobsLocked(jobs_.resolve(
+                        key, false,
                         std::string("worker returned a malformed "
                                     "result payload: ") +
                             e.what(),
-                        false);
+                        false));
             }
             return protocol::Reply::error(
                 std::string("COMPLETE: malformed payload: ") +
                 e.what());
         }
         for (std::size_t i = 0; i < lease.unit.keys.size(); ++i) {
-            const std::string hex = lease.unit.keys[i].hex();
-            if (!waiters_.count(hex)) {
+            const batch::CacheKey &key = lease.unit.keys[i];
+            if (!jobs_.pending(key)) {
                 // First write won already: ack and discard (the
                 // zombie-duplicate contract).
                 ++discarded;
-                ++counters_.results_discarded;
+                ++fleet_.results_discarded;
                 continue;
             }
-            cache_.store(lease.unit.keys[i], results[i]);
+            cache_.store(key, results[i]);
             ++stored;
-            ++counters_.results_stored;
-            resolveKeyLocked(hex, true, "", true);
+            ++fleet_.results_stored;
+            finishJobsLocked(jobs_.resolve(key, true, "", true));
         }
     } else {
         // Execution failed on the worker. Only an *active* lease may
         // fail cells — a zombie's error must not poison a re-lease
         // that might still succeed.
         if (!lease.expired) {
-            for (const auto &key : lease.unit.keys) {
-                const std::string hex = key.hex();
-                if (waiters_.count(hex))
-                    resolveKeyLocked(hex, false, payload, false);
-            }
+            for (const auto &key : lease.unit.keys)
+                finishJobsLocked(jobs_.resolve(key, false, payload, false));
         } else {
             discarded += lease.unit.keys.size();
-            counters_.results_discarded += lease.unit.keys.size();
+            fleet_.results_discarded += lease.unit.keys.size();
         }
     }
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] complete lease %llu: %s "
-                     "stored=%llu discarded=%llu\n",
-                     (unsigned long long)id, status->c_str(),
-                     (unsigned long long)stored,
-                     (unsigned long long)discarded);
+    verboseLog(config_.verbose,
+               "[coordinator] complete lease %llu: %s stored=%llu "
+               "discarded=%llu\n",
+               (unsigned long long)id, status->c_str(),
+               (unsigned long long)stored, (unsigned long long)discarded);
     return protocol::Reply::success(
         "stored=" + std::to_string(stored) +
         " discarded=" + std::to_string(discarded) + "\n");
@@ -571,12 +442,10 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
             continue; // completed, already expired, or renewed
         Lease &lease = it->second;
         lease.expired = true;
-        ++counters_.leases_expired;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] lease %llu expired; "
-                         "re-queueing\n",
-                         (unsigned long long)id);
+        ++fleet_.leases_expired;
+        verboseLog(config_.verbose,
+                   "[coordinator] lease %llu expired; re-queueing\n",
+                   (unsigned long long)id);
 
         if (lease.kind == LeaseKind::Stream) {
             // The stream becomes leasable again from its committed
@@ -592,20 +461,11 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
             retainExpiredLocked(id);
             continue;
         }
-        --counters_.units_leased;
+        --fleet_.units_leased;
 
         // Re-queue what is still unresolved; the lease record stays
         // (bounded) so the zombie's eventual COMPLETE is understood.
-        Unit retry;
-        retry.job = lease.unit.job;
-        retry.priority = lease.unit.priority;
-        retry.seq = lease.unit.seq;
-        for (std::size_t i = 0; i < lease.unit.keys.size(); ++i) {
-            if (!waiters_.count(lease.unit.keys[i].hex()))
-                continue;
-            retry.indices.push_back(lease.unit.indices[i]);
-            retry.keys.push_back(lease.unit.keys[i]);
-        }
+        Unit retry = pendingPart(lease.unit);
         if (!retry.indices.empty())
             enqueueUnitLocked(std::move(retry));
 
@@ -626,195 +486,53 @@ Coordinator::retainExpiredLocked(std::uint64_t id)
     }
 }
 
-void
-Coordinator::resolveKeyLocked(const std::string &hex, bool ok,
-                              const std::string &error, bool executed)
+Coordinator::Unit
+Coordinator::pendingPart(const Unit &unit) const
 {
-    const auto it = waiters_.find(hex);
-    if (it == waiters_.end())
-        return;
-    const std::vector<CellRef> waiting = std::move(it->second);
-    waiters_.erase(it);
-
-    bool first = true;
-    bool finished = false;
-    for (const CellRef &ref : waiting) {
-        const auto jt = jobs_.find(ref.job);
-        if (jt == jobs_.end())
+    Unit live = unit;
+    live.indices.clear();
+    live.keys.clear();
+    for (std::size_t i = 0; i < unit.keys.size(); ++i) {
+        if (!jobs_.pending(unit.keys[i]))
             continue;
-        JobRec &job = jt->second;
-        ++job.status.done;
-        if (!ok) {
-            ++job.status.failed;
-            if (job.status.first_error.empty())
-                job.status.first_error = error;
-        } else if (executed && first) {
-            // Only the first waiter "owns" the execution; everyone
-            // else got the cell cache-hit-equivalent.
-            ++job.executed;
-        } else {
-            ++job.cached;
-        }
-        first = false;
-        if (job.status.complete()) {
-            finishJobLocked(job);
-            finished = true;
-        }
+        live.indices.push_back(unit.indices[i]);
+        live.keys.push_back(unit.keys[i]);
     }
-    // Wake parked WAITs here rather than in finishJobLocked, so a
-    // SUBMIT answered from the cache pays no notify.
-    if (finished)
-        done_cv_.notify_all();
+    return live;
 }
 
 void
-Coordinator::finishJobLocked(JobRec &job)
+Coordinator::finishJobsLocked(const std::vector<FinishedJob> &finished)
 {
-    ++counters_.jobs_completed;
-    if (job.status.failed > 0)
-        ++counters_.jobs_failed;
-    const auto ct = jobs_by_client_.find(job.client);
-    if (ct != jobs_by_client_.end() && ct->second > 0 &&
-        --ct->second == 0)
-        jobs_by_client_.erase(ct);
-    cache_.recordRun(job.executed, job.cached);
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] job %llu %s: executed=%llu "
-                     "cached=%llu failed=%zu\n",
-                     (unsigned long long)job.status.id,
-                     job.status.state(),
-                     (unsigned long long)job.executed,
-                     (unsigned long long)job.cached,
-                     job.status.failed);
-
-    finished_order_.push_back(job.status.id);
-    while (finished_order_.size() > JobQueue::max_finished_jobs) {
-        jobs_.erase(finished_order_.front());
-        finished_order_.pop_front();
+    for (const FinishedJob &job : finished) {
+        const auto ct = jobs_by_client_.find(job.client);
+        if (ct != jobs_by_client_.end() && ct->second > 0 &&
+            --ct->second == 0)
+            jobs_by_client_.erase(ct);
+        verboseLog(config_.verbose,
+                   "[coordinator] job %llu %s: executed=%llu cached=%llu "
+                   "failed=%zu\n",
+                   (unsigned long long)job.status.id, job.status.state(),
+                   (unsigned long long)job.executed,
+                   (unsigned long long)job.cached, job.status.failed);
     }
-    if (job_order_.size() > 2 * jobs_.size() + 16) {
-        std::deque<std::uint64_t> kept;
-        for (const std::uint64_t id : job_order_)
-            if (jobs_.count(id))
-                kept.push_back(id);
-        job_order_ = std::move(kept);
-    }
+    jobs_.settle(finished);
 }
 
 protocol::Reply
-Coordinator::handleStatus(const std::string &body)
+Coordinator::handleStreamStatus(const std::string &body)
 {
+    const std::uint64_t id = protocol::parseStreamId(body, "STATUS");
     std::lock_guard<std::mutex> lock(mutex_);
-    if (body.rfind("stream=", 0) == 0) {
-        const std::uint64_t id = parseStreamId(body, "STATUS");
-        const auto it = streams_.find(id);
-        if (it == streams_.end())
-            return protocol::Reply::error("unknown stream " +
-                                          std::to_string(id));
-        const FleetStream &s = it->second;
-        return protocol::Reply::success(streamStatusLine(
-            id, s.spool->records(), s.committed,
-            s.config.schedule.num_regions, s.est_cpi, s.ci_error,
-            s.mpki, s.spool->complete(), s.mrc));
-    }
-    if (!body.empty()) {
-        const std::uint64_t id = batch::parseCount(body);
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end())
-            return protocol::Reply::error("unknown job " + body);
-        return protocol::Reply::success(
-            jobStatusLine(it->second.status));
-    }
-    std::ostringstream os;
-    const Counters &c = counters_;
-    os << "jobs=" << c.jobs_submitted
-       << " completed=" << c.jobs_completed
-       << " job_failures=" << c.jobs_failed
-       << " units_ready=" << c.units_ready
-       << " units_leased=" << c.units_leased
-       << " leases_granted=" << c.leases_granted
-       << " leases_expired=" << c.leases_expired
-       << " cells_total=" << c.cells_total
-       << " cells_cached=" << c.cells_cached
-       << " cells_deduped=" << c.cells_deduped
-       << " streams=" << c.streams_opened
-       << " stream_leases=" << c.stream_leases
-       << " stream_windows=" << c.stream_windows
-       << " streams_finished=" << c.streams_finished
-       << " streams_failed=" << c.streams_failed << "\n";
-    for (const std::uint64_t id : job_order_) {
-        const auto it = jobs_.find(id);
-        if (it != jobs_.end())
-            os << jobStatusLine(it->second.status);
-    }
-    return protocol::Reply::success(os.str());
-}
-
-protocol::Reply
-Coordinator::handleWait(const std::string &body)
-{
-    const protocol::WaitRequest wait = protocol::parseWaitRequest(body);
-    std::unique_lock<std::mutex> lock(mutex_);
-    const auto until =
-        Clock::now() + std::chrono::milliseconds(wait.timeout_ms);
-    for (;;) {
-        const auto it = jobs_.find(wait.job);
-        if (it == jobs_.end())
-            return protocol::Reply::error("unknown job " +
-                                          std::to_string(wait.job));
-        if (it->second.status.complete() || shutdown_ ||
-            Clock::now() >= until)
-            return protocol::Reply::success(
-                jobStatusLine(it->second.status));
-        parkLocked(done_cv_, lock, until);
-    }
-}
-
-protocol::Reply
-Coordinator::handleResult(const std::string &body)
-{
-    const batch::CacheKey key = batch::CacheKey::fromHex(body);
-    auto bytes = cache_.loadBytes(key);
-    if (!bytes)
-        return protocol::Reply::error("no cached result for key " +
-                                      body);
-    return protocol::Reply::success(std::move(*bytes));
-}
-
-protocol::Reply
-Coordinator::handleStats()
-{
-    const auto stats = cache_.stats();
-    std::lock_guard<std::mutex> lock(mutex_);
-    const Counters &c = counters_;
-    std::ostringstream os;
-    os << "last_run_executed=" << stats.last_run_executed
-       << " last_run_cached=" << stats.last_run_cached
-       << " total_executed=" << stats.total_executed
-       << " total_cached=" << stats.total_cached << "\n"
-       << "jobs=" << c.jobs_submitted
-       << " completed=" << c.jobs_completed
-       << " job_failures=" << c.jobs_failed
-       << " cells_total=" << c.cells_total
-       << " cells_cached=" << c.cells_cached
-       << " cells_deduped=" << c.cells_deduped
-       << " units_ready=" << c.units_ready
-       << " units_leased=" << c.units_leased
-       << " leases_granted=" << c.leases_granted
-       << " leases_renewed=" << c.leases_renewed
-       << " leases_expired=" << c.leases_expired
-       << " results_stored=" << c.results_stored
-       << " results_discarded=" << c.results_discarded
-       << " quota_rejections=" << c.quota_rejections
-       << " streams=" << c.streams_opened
-       << " stream_leases=" << c.stream_leases
-       << " stream_handoffs=" << c.stream_handoffs
-       << " stream_windows=" << c.stream_windows
-       << " streams_finished=" << c.streams_finished
-       << " streams_failed=" << c.streams_failed
-       << " parked=" << c.parked << "\n";
-    return protocol::Reply::success(os.str());
+    const auto it = streams_.find(id);
+    if (it == streams_.end())
+        return protocol::Reply::error("unknown stream " +
+                                      std::to_string(id));
+    const FleetStream &s = it->second;
+    return protocol::Reply::success(streamStatusLine(
+        id, s.spool->records(), s.committed,
+        s.config.schedule.num_regions, s.est_cpi, s.ci_error, s.mpki,
+        s.spool->complete(), s.mrc));
 }
 
 void
@@ -860,11 +578,10 @@ Coordinator::handleStreamOpen(const std::string &body)
     stream.spool = std::make_unique<TraceSpool>(
         id, dir + "/" + std::to_string(id) + ".dlt",
         stream.config.schedule.totalInstructions());
-    ++counters_.streams_opened;
+    ++fleet_.streams;
     streams_.emplace(id, std::move(stream));
-    if (config_.verbose)
-        std::fprintf(stderr, "[coordinator] stream %llu opened\n",
-                     (unsigned long long)id);
+    verboseLog(config_.verbose, "[coordinator] stream %llu opened\n",
+               (unsigned long long)id);
     return protocol::Reply::success("stream=" + std::to_string(id) +
                                     "\n");
 }
@@ -877,7 +594,7 @@ Coordinator::handleStreamAppend(const std::string &body)
         throw ServiceError(
             "STREAM-APPEND: missing stream=<id> header line");
     const std::uint64_t id =
-        parseStreamId(body.substr(0, eol), "STREAM-APPEND");
+        protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = streams_.find(id);
@@ -924,7 +641,8 @@ Coordinator::handleStreamAppend(const std::string &body)
 protocol::Reply
 Coordinator::handleStreamClose(const std::string &body)
 {
-    const std::uint64_t id = parseStreamId(body, "STREAM-CLOSE");
+    const std::uint64_t id =
+        protocol::parseStreamId(body, "STREAM-CLOSE");
 
     std::unique_lock<std::mutex> lock(mutex_);
     {
@@ -993,12 +711,9 @@ Coordinator::handleStreamClose(const std::string &body)
     }
     cache_.store(key, stream.result);
     removeStreamArtifacts(stream);
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] stream %llu closed -> key %s "
-                     "(%u windows)\n",
-                     (unsigned long long)id, key.hex().c_str(),
-                     stream.windows);
+    verboseLog(config_.verbose,
+               "[coordinator] stream %llu closed -> key %s (%u windows)\n",
+               (unsigned long long)id, key.hex().c_str(), stream.windows);
     return protocol::Reply::success(
         "key=" + key.hex() +
         " windows=" + std::to_string(stream.windows) + "\n");
@@ -1021,9 +736,8 @@ Coordinator::FleetStream::leasable() const
 protocol::Reply
 Coordinator::handleStreamLease(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
     const std::string worker =
-        tokenValue(tokens, "worker").value_or("");
+        protocol::KeyValues(body).get("worker").value_or("");
 
     std::lock_guard<std::mutex> lock(mutex_);
     sweepExpiredLocked(Clock::now());
@@ -1046,7 +760,7 @@ Coordinator::handleStreamLease(const std::string &body)
         armDeadlineLocked(lease);
         stream.leased = true;
         stream.lease_id = lease.id;
-        ++counters_.stream_leases;
+        ++fleet_.stream_leases;
 
         std::ostringstream os;
         os << "lease=" << lease.id
@@ -1057,14 +771,13 @@ Coordinator::handleStreamLease(const std::string &body)
            << " trace=" << stream.spool->path() << " prefix="
            << (stream.committed > 0 ? stream.prefix_path : "-") << "\n"
            << stream.directives;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] stream lease %llu -> %s "
-                         "(stream %llu, windows [%u, %u)%s)\n",
-                         (unsigned long long)lease.id,
-                         worker.empty() ? "worker" : worker.c_str(),
-                         (unsigned long long)sid, lease.from, lease.to,
-                         finish ? ", finish" : "");
+        verboseLog(config_.verbose,
+                   "[coordinator] stream lease %llu -> %s (stream %llu, "
+                   "windows [%u, %u)%s)\n",
+                   (unsigned long long)lease.id,
+                   worker.empty() ? "worker" : worker.c_str(),
+                   (unsigned long long)sid, lease.from, lease.to,
+                   finish ? ", finish" : "");
         const std::uint64_t lease_id = lease.id;
         leases_.emplace(lease_id, std::move(lease));
         return protocol::Reply::success(os.str());
@@ -1075,28 +788,21 @@ Coordinator::handleStreamLease(const std::string &body)
 protocol::Reply
 Coordinator::handleStreamHandoff(const std::string &body)
 {
-    const auto tokens = headerTokens(body);
-    const auto id_text = tokenValue(tokens, "lease");
-    const auto status = tokenValue(tokens, "status");
+    const protocol::KeyValues header(body);
+    const auto id_text = header.get("lease");
+    const auto status = header.get("status");
     if (!id_text || !status ||
         (*status != "ok" && *status != "error"))
         return protocol::Reply::error(
             "STREAM-HANDOFF: malformed header (want lease=<id> "
             "status=ok|error)");
     const std::uint64_t id = batch::parseCount(*id_text);
-    unsigned windows = 0;
-    if (const auto text = tokenValue(tokens, "windows"))
-        windows = unsigned(batch::parseCount(*text));
-    const std::string prefix =
-        tokenValue(tokens, "prefix").value_or("-");
-    double est_cpi = 0.0, ci_error = 0.0, mpki = 0.0;
-    if (const auto text = tokenValue(tokens, "est_cpi"))
-        est_cpi = batch::parseReal(*text);
-    if (const auto text = tokenValue(tokens, "ci_error"))
-        ci_error = batch::parseReal(*text);
-    if (const auto text = tokenValue(tokens, "mpki"))
-        mpki = batch::parseReal(*text);
-    const std::string mrc = tokenValue(tokens, "mrc").value_or("");
+    const unsigned windows = unsigned(header.count("windows"));
+    const std::string prefix = header.get("prefix").value_or("-");
+    const double est_cpi = header.real("est_cpi");
+    const double ci_error = header.real("ci_error");
+    const double mpki = header.real("mpki");
+    const std::string mrc = header.get("mrc").value_or("");
     const std::size_t eol = body.find('\n');
     const std::string payload =
         eol == std::string::npos ? "" : body.substr(eol + 1);
@@ -1110,7 +816,7 @@ Coordinator::handleStreamHandoff(const std::string &body)
 
     std::lock_guard<std::mutex> lock(mutex_);
     sweepExpiredLocked(Clock::now());
-    ++counters_.stream_handoffs;
+    ++fleet_.stream_handoffs;
 
     const auto lt = leases_.find(id);
     if (lt == leases_.end()) {
@@ -1159,7 +865,7 @@ Coordinator::handleStreamHandoff(const std::string &body)
             stream.error = payload.empty()
                                ? "worker reported an execution error"
                                : payload;
-            ++counters_.streams_failed;
+            ++fleet_.streams_failed;
             done_cv_.notify_all();
             return ack(0, 0);
         }
@@ -1190,7 +896,7 @@ Coordinator::handleStreamHandoff(const std::string &body)
                             "payload: ") +
                 e.what());
         }
-        counters_.stream_windows += windows - stream.committed;
+        fleet_.stream_windows += windows - stream.committed;
         stream.committed = windows;
         stream.result = std::move(result);
         stream.finished = true;
@@ -1199,14 +905,11 @@ Coordinator::handleStreamHandoff(const std::string &body)
         stream.ci_error = ci_error;
         stream.mpki = mpki;
         stream.mrc = mrc;
-        ++counters_.streams_finished;
+        ++fleet_.streams_finished;
         done_cv_.notify_all();
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] stream %llu finished by "
-                         "lease %llu\n",
-                         (unsigned long long)lease.stream,
-                         (unsigned long long)id);
+        verboseLog(config_.verbose,
+                   "[coordinator] stream %llu finished by lease %llu\n",
+                   (unsigned long long)lease.stream, (unsigned long long)id);
         return ack(1, 0);
     }
 
@@ -1242,20 +945,18 @@ Coordinator::handleStreamHandoff(const std::string &body)
             "STREAM-HANDOFF: cannot install prefix file '" + prefix +
             "'");
     }
-    counters_.stream_windows += windows - stream.committed;
+    fleet_.stream_windows += windows - stream.committed;
     stream.committed = windows;
     stream.prefix_path = dest;
     stream.est_cpi = est_cpi;
     stream.ci_error = ci_error;
     stream.mpki = mpki;
     stream.mrc = mrc;
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] stream %llu prefix -> %u windows "
-                     "(lease %llu%s)\n",
-                     (unsigned long long)lease.stream, windows,
-                     (unsigned long long)id,
-                     lease.expired ? ", zombie won" : "");
+    verboseLog(config_.verbose,
+               "[coordinator] stream %llu prefix -> %u windows (lease "
+               "%llu%s)\n",
+               (unsigned long long)lease.stream, windows,
+               (unsigned long long)id, lease.expired ? ", zombie won" : "");
     return ack(1, 0);
 }
 

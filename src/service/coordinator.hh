@@ -2,53 +2,40 @@
  * @file
  * Coordinator: fleet-scale fan-out of batch plans over DLRNSRV1.
  *
- * The single-host BatchService drains one ThreadPool; the coordinator
- * drains a *fleet*. It accepts the same client-facing requests
- * (SUBMIT/STATUS/RESULT/STATS/SHUTDOWN, identical wire bodies, so
- * every existing client and the `batch_service` CLI work unchanged)
- * but executes nothing itself: submitted plans expand into the same
- * co-schedulable work units a local run uses
- * (batch::planWorkUnits), and worker daemons — today's batch_service
- * with a `--worker <coordinator-socket>` pull loop
- * (service/worker.hh) — pull them over three new opcodes:
+ * The daemon runs cells on its own threads; the coordinator runs them
+ * on a *fleet*. It shares the daemon's job table (service/queue.hh):
+ * the same SUBMIT path (hits resolve inside SUBMIT, pending keys
+ * attach), the completion fan-out, WAIT and the STATUS/STATS/RESULT
+ * replies, so every client and the `batch_service` CLI work
+ * unchanged. It executes nothing itself: fresh cells form the same
+ * co-schedulable work units a local run uses (batch::planWorkUnits),
+ * and workers (service/worker.hh, `batch_service serve --worker`) pull
+ * them over three opcodes:
  *
- *   LEASE     a worker asks for a unit and gets a lease id with a
- *             deadline plus the owning job's manifest text and cell
- *             indices (expansion order is part of the BatchPlan API,
- *             so re-expansion on the worker reproduces the identical
- *             cells and content keys — verified against the keys the
- *             lease carries). With wait_ms the request parks on
- *             work_cv_ until a unit is queued or re-queued, a stream
- *             window becomes leasable, or the wait passes.
- *   RENEW     extends a live lease's deadline (long cells).
- *   COMPLETE  returns the serialized MethodResult bytes (chunked via
- *             RESULT-PART/RESULT-END past the frame cap). The
- *             coordinator stores them through its own ResultCache, so
- *             a cell computed on one worker is a cache hit for every
- *             later job — the fleet's cache-entry exchange.
+ *   LEASE     a unit with a lease id and deadline, the owning job's
+ *             manifest, cell indices and content keys (re-expansion on
+ *             the worker must reproduce the keys). With wait_ms the
+ *             request parks on work_cv_ until a unit is queued or
+ *             re-queued, a stream window becomes leasable, or the wait
+ *             passes.
+ *   RENEW     extends a live lease's deadline; workers renew while a
+ *             unit runs.
+ *   COMPLETE  returns the serialized MethodResults (chunked past the
+ *             frame cap), stored through the coordinator's cache, so a
+ *             cell computed on one worker is a hit for every later job.
  *
  * Leases live in a deadline heap. A parked LEASE sleeps no later than
- * the heap's earliest deadline, so an expired lease is swept and its
- * unit re-leased without any other request arriving. WAIT parks on
- * done_cv_ until its job finishes. A parked request releases mutex_
- * while it sleeps, and shutdown wakes them all. A worker that crashes
- * or stalls past its deadline has its unit re-queued and re-leased;
- * that at-least-once execution is safe because cells are
- * content-keyed and idempotent — whoever finishes first wins the
- * store, and a zombie's late duplicate COMPLETE is acked and
- * discarded. The result of a
- * plan run through N workers (with or without mid-plan worker deaths)
- * is therefore bit-identical to a serial local `batch_run`
- * (MethodResult::operator==; pinned in tests/test_service.cc and the
- * fleet-smoke CI job).
- *
- * Cells dedupe exactly like the single-host queue: a cell already in
- * the result cache completes at submit time; a cell already pending
- * (queued or leased) for any job attaches to it, and the one COMPLETE
- * fans out to every waiter. SUBMIT is bounded two ways: a per-client
- * quota on in-flight jobs (client = the accepting connection) and a
- * global ready-unit ceiling; both reject with an error reply the
- * client can back off on — backpressure, not disconnection.
+ * the earliest deadline, so an expired lease is swept and its unit
+ * re-leased with no other request arriving; parked requests release
+ * mutex_ while they sleep, and shutdown wakes them all. At-least-once
+ * execution is safe because cells are content-keyed and idempotent:
+ * the first COMPLETE of a key wins the store, and a zombie's late
+ * duplicate is acked and discarded. A plan run through N workers,
+ * with or without mid-plan deaths, is bit-identical to a serial
+ * `batch_run` (pinned in tests/test_service.cc and fleet-smoke CI).
+ * SUBMIT is bounded by a per-client quota on in-flight jobs (client =
+ * the accepting connection) and a global ready-unit ceiling, both
+ * answered with an error reply to back off on.
  *
  * Migrating streams
  * -----------------
@@ -128,32 +115,9 @@ struct CoordinatorConfig
 class Coordinator
 {
   public:
-    /** Aggregate counters (STATUS/STATS and tests). */
-    struct Counters
+    /** Every STATUS/STATS counter, flat (tests). */
+    struct Counters : ServiceCounters, FleetStats
     {
-        std::uint64_t jobs_submitted = 0;
-        std::uint64_t jobs_completed = 0;
-        std::uint64_t jobs_failed = 0;
-        std::uint64_t cells_total = 0;   //!< cells across all jobs
-        std::uint64_t cells_cached = 0;  //!< done from cache at submit
-        std::uint64_t cells_deduped = 0; //!< attached to pending cells
-        std::uint64_t units_ready = 0;   //!< awaiting a worker
-        std::uint64_t units_leased = 0;  //!< currently out on lease
-        std::uint64_t leases_granted = 0;
-        std::uint64_t leases_renewed = 0;
-        std::uint64_t leases_expired = 0;  //!< re-queued after timeout
-        std::uint64_t results_stored = 0;  //!< first-write COMPLETEs
-        std::uint64_t results_discarded = 0; //!< zombie duplicates
-        std::uint64_t quota_rejections = 0;  //!< SUBMITs bounced
-        std::uint64_t streams_opened = 0;
-        std::uint64_t stream_leases = 0;   //!< stream leases granted
-        std::uint64_t stream_handoffs = 0; //!< handoffs received
-        std::uint64_t stream_windows = 0;  //!< windows committed
-        std::uint64_t streams_finished = 0;
-        std::uint64_t streams_failed = 0;
-        /** Requests parked right now: WAIT, LEASE wait_ms and
-         *  STREAM-CLOSE. */
-        std::uint64_t parked = 0;
     };
 
     /** Validate the config and open the cache. Throws ServiceError. */
@@ -194,6 +158,8 @@ class Coordinator
     struct Unit
     {
         std::uint64_t job = 0; //!< owning (first-submitter) job
+        /** The owning job's manifest, re-sent with each lease. */
+        std::shared_ptr<const std::string> manifest;
         std::vector<std::size_t> indices; //!< plan cell indices
         std::vector<batch::CacheKey> keys; //!< parallel to indices
         int priority = 0;
@@ -257,28 +223,9 @@ class Coordinator
         std::optional<std::pair<unsigned, bool>> leasable() const;
     };
 
-    /** A cell of one job awaiting a pending key's result. */
-    struct CellRef
-    {
-        std::uint64_t job = 0;
-        std::size_t index = 0;
-    };
-
-    struct JobRec
-    {
-        JobStatus status;
-        std::string manifest; //!< text re-sent with each lease
-        std::uint64_t client = 0;
-        std::uint64_t executed = 0;
-        std::uint64_t cached = 0;
-    };
-
     protocol::Reply handleSubmit(const std::string &body,
                                  std::uint64_t client);
-    protocol::Reply handleStatus(const std::string &body);
-    protocol::Reply handleResult(const std::string &body);
-    protocol::Reply handleStats();
-    protocol::Reply handleWait(const std::string &body);
+    protocol::Reply handleStreamStatus(const std::string &body);
     protocol::Reply handleLease(const std::string &body);
     protocol::Reply handleRenew(const std::string &body);
     protocol::Reply handleComplete(const std::string &body);
@@ -299,7 +246,7 @@ class Coordinator
     void armDeadlineLocked(Lease &lease);
 
     /** Park on @p cv until notified or @p until, counted in
-     *  counters_.parked. */
+     *  parked_. */
     void parkLocked(std::condition_variable &cv,
                     std::unique_lock<std::mutex> &lock,
                     Clock::time_point until);
@@ -314,14 +261,15 @@ class Coordinator
     /** Push @p unit into the ready heap (locked). */
     void enqueueUnitLocked(Unit unit);
 
-    /** Record one resolved cell on every waiter of @p hex; @p ok
-     *  false marks it failed with @p error (locked). */
-    void resolveKeyLocked(const std::string &hex, bool ok,
-                          const std::string &error, bool executed);
+    /** @p unit without the members no longer pending (locked). */
+    Unit pendingPart(const Unit &unit) const;
 
-    /** Completion bookkeeping once @p job reached done == cells
-     *  (locked). */
-    void finishJobLocked(JobRec &job);
+    /** Release the quota slots of @p finished jobs, then settle them
+     *  so parked WAITs answer (locked). */
+    void finishJobsLocked(const std::vector<FinishedJob> &finished);
+
+    /** The coordinator's share of the counter line (JobQueue hook). */
+    void addCounters(ServiceCounters &jobs, FleetStats &fleet) const;
 
     /** Remove the stream's committed prefix and any orphaned worker
      *  prefix files ("<spool>.lvp*"); the spool file itself dies with
@@ -330,24 +278,20 @@ class Coordinator
 
     CoordinatorConfig config_;
     batch::ResultCache cache_;
+    /** The job table. A key pending there *is* the "needs execution"
+     *  state; COMPLETEs for keys no longer pending are duplicates and
+     *  are discarded. Always entered with mutex_ held, if at all. */
+    JobQueue jobs_;
 
     mutable std::mutex mutex_;
-    std::uint64_t next_job_ = 1;
     std::uint64_t next_lease_ = 1;
     std::uint64_t next_seq_ = 0;
     std::uint64_t next_stream_ = 0;
-    Counters counters_;
+    FleetStats fleet_;
+    std::uint64_t parked_ = 0; //!< LEASE wait_ms and STREAM-CLOSE
 
-    std::unordered_map<std::uint64_t, JobRec> jobs_;
-    std::deque<std::uint64_t> job_order_;
-    std::deque<std::uint64_t> finished_order_; //!< eviction queue
     /** In-flight jobs per client connection (quota accounting). */
     std::unordered_map<std::uint64_t, std::size_t> jobs_by_client_;
-
-    /** Pending cells by key hex: queued or leased, not yet resolved.
-     *  Presence here *is* the "needs execution" state; COMPLETEs for
-     *  keys absent from this map are duplicates and are discarded. */
-    std::unordered_map<std::string, std::vector<CellRef>> waiters_;
 
     /** Ready units, highest priority first (FIFO within). */
     std::vector<Unit> ready_;
@@ -371,8 +315,8 @@ class Coordinator
      *  window became leasable, an earlier lease deadline was armed,
      *  or shutdown. */
     std::condition_variable work_cv_;
-    /** Wakes parked WAITs and STREAM-CLOSEs, and run(): a job or
-     *  stream finished or failed, or shutdown. */
+    /** Wakes parked STREAM-CLOSEs, and run(): a stream finished or
+     *  failed, or shutdown. */
     std::condition_variable done_cv_;
     bool shutdown_ = false; //!< guarded by mutex_
 };

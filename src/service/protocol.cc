@@ -121,28 +121,67 @@ parseWaitMs(const std::string &text)
 WaitRequest
 parseWaitRequest(const std::string &body)
 {
-    WaitRequest wait;
-    bool have_job = false, have_timeout = false;
-    std::istringstream is(body);
-    std::string token;
+    const KeyValues kv(body);
+    const auto job = kv.get("job");
+    const auto timeout = kv.get("timeout_ms");
+    if (!job || !timeout)
+        throw ServiceError(
+            "WAIT: expected job=<id> timeout_ms=<t>, got '" + body + "'");
     try {
-        while (is >> token) {
-            if (token.rfind("job=", 0) == 0 && !have_job) {
-                wait.job = batch::parseCount(token.substr(4));
-                have_job = true;
-            } else if (token.rfind("timeout_ms=", 0) == 0 &&
-                       !have_timeout) {
-                wait.timeout_ms = parseWaitMs(token.substr(11));
-                have_timeout = true;
-            }
-        }
+        return {batch::parseCount(*job), parseWaitMs(*timeout)};
     } catch (const batch::BatchError &e) {
         throw ServiceError(std::string("WAIT: ") + e.what());
     }
-    if (!have_job || !have_timeout)
-        throw ServiceError(
-            "WAIT: expected job=<id> timeout_ms=<t>, got '" + body + "'");
-    return wait;
+}
+
+KeyValues::KeyValues(const std::string &text)
+{
+    std::istringstream is(text.substr(0, text.find('\n')));
+    std::string token;
+    while (is >> token) {
+        const std::size_t eq = token.find('=');
+        tokens_.emplace_back(token.substr(0, eq),
+                             eq == std::string::npos ? ""
+                                                     : token.substr(eq + 1));
+    }
+}
+
+std::optional<std::string>
+KeyValues::get(const std::string &key) const
+{
+    for (const auto &[k, v] : tokens_)
+        if (k == key)
+            return v;
+    return std::nullopt;
+}
+
+std::uint64_t
+KeyValues::count(const std::string &key, std::uint64_t fallback) const
+{
+    const auto value = get(key);
+    return value ? batch::parseCount(*value) : fallback;
+}
+
+double
+KeyValues::real(const std::string &key) const
+{
+    const auto value = get(key);
+    return value ? batch::parseReal(*value) : 0.0;
+}
+
+std::uint64_t
+parseStreamId(std::string text, const char *what)
+{
+    if (!text.empty() && text.back() == '\n')
+        text.pop_back();
+    if (text.rfind("stream=", 0) != 0)
+        throw ServiceError(std::string(what) +
+                           ": expected stream=<id>, got '" + text + "'");
+    try {
+        return batch::parseCount(text.substr(sizeof("stream=") - 1));
+    } catch (const batch::BatchError &e) {
+        throw ServiceError(std::string(what) + ": " + e.what());
+    }
 }
 
 void

@@ -135,6 +135,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace delorean::service
 {
@@ -225,6 +227,42 @@ struct WaitRequest
 /** Parse "job=<id> timeout_ms=<t>"; both are required. Throws
  *  ServiceError. */
 WaitRequest parseWaitRequest(const std::string &body);
+
+/**
+ * The space-separated key=value tokens on the first line of a request
+ * header or a reply: the shape of every DLRNSRV1 body except job
+ * lines, whose free-text name needs parseJobStatusLine. Lookups see
+ * the first token with a key; a token without '=' is a key with an
+ * empty value.
+ */
+class KeyValues
+{
+  public:
+    explicit KeyValues(const std::string &text);
+
+    /** The value of @p key, or nullopt when absent. */
+    std::optional<std::string> get(const std::string &key) const;
+
+    /** @p key's value as a strict decimal count, or @p fallback when
+     *  absent. Throws batch::BatchError on a malformed value. */
+    std::uint64_t count(const std::string &key,
+                        std::uint64_t fallback = 0) const;
+
+    /** @p key's value as a real, 0 when absent. Throws
+     *  batch::BatchError on a malformed value. */
+    double real(const std::string &key) const;
+
+    using Tokens = std::vector<std::pair<std::string, std::string>>;
+    const Tokens &tokens() const { return tokens_; }
+
+  private:
+    Tokens tokens_;
+};
+
+/** Parse a "stream=<id>" body or header line (an optional trailing
+ *  newline is ignored); @p what names the request in errors. Throws
+ *  ServiceError. */
+std::uint64_t parseStreamId(std::string text, const char *what);
 
 /**
  * The SUBMIT priority clients send when they don't care: above the

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <unordered_set>
 
+#include "base/logging.hh"
 #include "batch/error.hh"
-#include "service/protocol.hh"
+#include "workload/endian.hh"
 
 namespace delorean::service
 {
@@ -13,19 +15,40 @@ namespace delorean::service
 namespace
 {
 
-/**
- * Heap order: highest priority first, lowest sequence number (oldest)
- * within a priority. std::push_heap builds a max-heap on this "less
- * than" relation, so a is below b when b has strictly higher priority
- * or the same priority and an earlier arrival.
- */
-bool
-taskBelow(const std::shared_ptr<Task> &a, const std::shared_ptr<Task> &b)
+/** One key of the counter line and the member it reports. */
+struct CounterKey
 {
-    if (a->priority != b->priority)
-        return a->priority < b->priority;
-    return a->seq > b->seq;
-}
+    const char *key;
+    std::uint64_t ServiceCounters::*jobs; //!< or null for a fleet key
+    std::uint64_t FleetStats::*fleet;
+};
+
+/** The counter line's keys, in order (docs/service.md). */
+constexpr CounterKey counter_keys[] = {
+    {"jobs", &ServiceCounters::jobs_submitted, nullptr},
+    {"completed", &ServiceCounters::jobs_completed, nullptr},
+    {"job_failures", &ServiceCounters::job_failures, nullptr},
+    {"cells_total", &ServiceCounters::cells_total, nullptr},
+    {"cells_executed", &ServiceCounters::cells_executed, nullptr},
+    {"cells_cached", &ServiceCounters::cells_cached, nullptr},
+    {"cells_deduped", &ServiceCounters::cells_deduped, nullptr},
+    {"cells_pending", &ServiceCounters::cells_pending, nullptr},
+    {"parked", &ServiceCounters::parked, nullptr},
+    {"units_ready", nullptr, &FleetStats::units_ready},
+    {"units_leased", nullptr, &FleetStats::units_leased},
+    {"leases_granted", nullptr, &FleetStats::leases_granted},
+    {"leases_renewed", nullptr, &FleetStats::leases_renewed},
+    {"leases_expired", nullptr, &FleetStats::leases_expired},
+    {"results_stored", nullptr, &FleetStats::results_stored},
+    {"results_discarded", nullptr, &FleetStats::results_discarded},
+    {"quota_rejections", nullptr, &FleetStats::quota_rejections},
+    {"streams", nullptr, &FleetStats::streams},
+    {"stream_leases", nullptr, &FleetStats::stream_leases},
+    {"stream_handoffs", nullptr, &FleetStats::stream_handoffs},
+    {"stream_windows", nullptr, &FleetStats::stream_windows},
+    {"streams_finished", nullptr, &FleetStats::streams_finished},
+    {"streams_failed", nullptr, &FleetStats::streams_failed},
+};
 
 } // namespace
 
@@ -63,56 +86,32 @@ parseJobStatusLine(const std::string &text)
     status.name = line.substr(name_at + 6);
     line.resize(name_at);
 
-    std::string state;
-    bool have_job = false, have_state = false;
-    bool have_cells = false, have_done = false;
+    const protocol::KeyValues kv(line);
+    const auto state = kv.get("state");
+    const auto required = {"job", "cells", "done"};
+    if (!state || std::any_of(required.begin(), required.end(),
+                              [&](const char *key) { return !kv.get(key); }))
+        throw ServiceError("STATUS: malformed job line '" + line + "'");
     try {
-        std::istringstream is(line);
-        std::string token;
-        while (is >> token) {
-            if (token.rfind("job=", 0) == 0) {
-                status.id = batch::parseCount(token.substr(4));
-                have_job = true;
-            } else if (token.rfind("state=", 0) == 0) {
-                state = token.substr(6);
-                have_state = true;
-            } else if (token.rfind("cells=", 0) == 0) {
-                status.cells =
-                    std::size_t(batch::parseCount(token.substr(6)));
-                have_cells = true;
-            } else if (token.rfind("done=", 0) == 0) {
-                status.done =
-                    std::size_t(batch::parseCount(token.substr(5)));
-                have_done = true;
-            } else if (token.rfind("failed=", 0) == 0) {
-                status.failed =
-                    std::size_t(batch::parseCount(token.substr(7)));
-            } else if (token.rfind("priority=", 0) == 0) {
-                status.priority =
-                    int(batch::parseCount(token.substr(9)));
-            } else if (token.rfind("source=", 0) == 0) {
-                const std::string v = token.substr(7);
-                if (v == "socket")
-                    status.source = JobSource::Socket;
-                else if (v == "spool")
-                    status.source = JobSource::Spool;
-                else
-                    throw batch::BatchError("unknown source '" + v +
-                                            "'");
-            }
-        }
+        status.id = kv.count("job");
+        status.cells = std::size_t(kv.count("cells"));
+        status.done = std::size_t(kv.count("done"));
+        status.failed = std::size_t(kv.count("failed"));
+        status.priority = int(kv.count("priority"));
+        const std::string source = kv.get("source").value_or("socket");
+        if (source == "spool")
+            status.source = JobSource::Spool;
+        else if (source != "socket")
+            throw batch::BatchError("unknown source '" + source + "'");
     } catch (const batch::BatchError &e) {
         throw ServiceError("STATUS: malformed job line '" + line +
                            "': " + e.what());
     }
-    if (!have_job || !have_state || !have_cells || !have_done)
-        throw ServiceError("STATUS: malformed job line '" + line +
-                           "'");
     // The state token is redundant with the counters; insisting they
     // agree catches truncated or reassembled lines that still happen
     // to tokenize.
-    if (state != status.state())
-        throw ServiceError("STATUS: job line state '" + state +
+    if (*state != status.state())
+        throw ServiceError("STATUS: job line state '" + *state +
                            "' contradicts its counters ('" +
                            status.state() + "')");
 
@@ -129,89 +128,190 @@ parseJobStatusLine(const std::string &text)
     return status;
 }
 
-std::uint64_t
-JobQueue::addJob(const batch::BatchPlan &plan, const std::string &name,
-                 JobSource source, int priority,
-                 const std::string &spool_path)
+std::string
+counterLine(const ServiceCounters &jobs, const FleetStats &fleet)
 {
+    std::ostringstream os;
+    const char *sep = "";
+    for (const CounterKey &k : counter_keys) {
+        os << sep << k.key << '='
+           << (k.jobs ? jobs.*k.jobs : fleet.*k.fleet);
+        sep = " ";
+    }
+    os << "\n";
+    return os.str();
+}
+
+void
+parseCounterLine(const std::string &line, ServiceCounters &jobs,
+                 FleetStats &fleet)
+{
+    const protocol::KeyValues tokens(line);
+    try {
+        for (const auto &[key, value] : tokens.tokens())
+            for (const CounterKey &k : counter_keys)
+                if (key == k.key)
+                    (k.jobs ? jobs.*k.jobs : fleet.*k.fleet) =
+                        batch::parseCount(value);
+    } catch (const batch::BatchError &e) {
+        throw ServiceError("malformed counter line '" + line +
+                           "': " + e.what());
+    }
+}
+
+JobQueue::JobQueue(const batch::ResultCache &cache, CounterHook counters,
+                   std::function<void()> shutdown)
+    : cache_(cache), counter_hook_(std::move(counters)),
+      shutdown_hook_(std::move(shutdown)), runs_(cache.stats())
+{
+    // Probe threads besides the caller: three measured best for a
+    // 120-cell plan on four cores; fewer on smaller hosts.
+    if (const unsigned workers =
+            std::min(3u, core::ThreadPool::defaultThreads() - 1))
+        probe_pool_ = std::make_unique<core::ThreadPool>(workers);
+    flusher_ = std::thread([this] { flushLoop(); });
+}
+
+JobQueue::~JobQueue()
+{
+    flush();
+}
+
+JobQueue::Probe
+JobQueue::probe(const batch::BatchPlan &plan)
+{
+    Probe out;
+    out.resolved = resolved_.load();
+    const auto &cells = plan.cells();
+    const auto hit = [&](std::size_t i) -> char {
+        return cache_.load(cells[i].key) ? 1 : 0;
+    };
+    out.hit = probe_pool_ ? core::parallelMap(*probe_pool_, cells.size(), hit)
+                          : core::parallelMap(cells.size(), 1, hit);
+    return out;
+}
+
+JobQueue::Submission
+JobQueue::submission(const std::string &body)
+{
+    if (body.size() < 4)
+        throw ServiceError("SUBMIT: missing priority prefix");
+    // Client priorities stay in a band above the spool's.
+    const std::uint32_t priority = std::min(
+        workload::le::getU32(
+            reinterpret_cast<const std::uint8_t *>(body.data())),
+        1000u);
+    std::string manifest = body.substr(4);
+    batch::BatchPlan plan =
+        batch::BatchPlan::fromManifestText(manifest, "submit");
+    Probe verdict = probe(plan);
+    return {int(priority), std::move(manifest), std::move(plan),
+            std::move(verdict)};
+}
+
+protocol::Reply
+JobQueue::submitted(std::uint64_t id, std::size_t cells)
+{
+    return protocol::Reply::success("job=" + std::to_string(id) +
+                                    " cells=" + std::to_string(cells) +
+                                    "\n");
+}
+
+JobQueue::Added
+JobQueue::add(const batch::BatchPlan &plan, const Probe &probe,
+              const JobOrigin &origin, const Admit &admit)
+{
+    const auto &cells = plan.cells();
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_)
         throw ServiceError("service is shutting down");
 
-    const std::uint64_t id = next_job_++;
-    JobRecord record;
-    record.status.id = id;
-    record.status.name = name;
-    record.status.source = source;
-    record.status.priority = priority;
-    record.status.cells = plan.cells().size();
-    record.spool_path = spool_path;
-    jobs_.emplace(id, std::move(record));
+    // Classify every cell before registering anything, so a refused
+    // job leaves nothing behind. A miss not pending now may have
+    // resolved since the probe (its result is in the cache by then:
+    // stores precede resolve()); probe it again unless nothing
+    // resolved meanwhile.
+    enum Fate : char
+    {
+        Cached,
+        Attach,
+        Fresh,
+    };
+    const bool stale = resolved_.load() != probe.resolved;
+    std::vector<char> fates(cells.size(), Cached);
+    std::vector<std::string> hexes(cells.size());
+    std::vector<const batch::BatchCell *> fresh;
+    std::unordered_set<std::string> fresh_hexes;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (probe.hit[i])
+            continue;
+        hexes[i] = cells[i].key.hex();
+        if (pending_.count(hexes[i]) || fresh_hexes.count(hexes[i])) {
+            fates[i] = Attach;
+        } else if (!stale || !cache_.load(cells[i].key)) {
+            fates[i] = Fresh;
+            fresh_hexes.insert(hexes[i]);
+            fresh.push_back(&cells[i]);
+        }
+    }
+    const std::uint64_t id = next_job_;
+    if (admit)
+        admit(id, fresh); // may refuse: nothing is registered yet
+    ++next_job_;
+
+    JobRecord &job = jobs_[id];
+    job.status.id = id;
+    job.status.name = origin.name;
+    job.status.source = origin.source;
+    job.status.priority = origin.priority;
+    job.status.cells = cells.size();
+    job.spool_path = origin.spool_path;
+    job.client = origin.client;
     job_order_.push_back(id);
     ++counters_.jobs_submitted;
-
-    std::size_t fresh = 0;
-    for (const auto &cell : plan.cells()) {
-        const std::string hex = cell.key.hex();
-        const auto it = active_.find(hex);
-        if (it != active_.end()) {
-            // Same content already queued or running (possibly for
-            // another submitter): one execution serves everyone.
-            it->second->jobs.push_back(id);
-            ++counters_.cells_deduped;
+    counters_.cells_total += cells.size();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (fates[i] == Cached) {
+            ++job.status.done;
+            ++job.cached;
+            ++counters_.cells_cached;
             continue;
         }
-        auto task = std::make_shared<Task>();
-        task->cell = cell;
-        task->priority = priority;
-        task->seq = next_seq_++;
-        task->jobs.push_back(id);
-        active_.emplace(hex, task);
-        heap_.push_back(std::move(task));
-        std::push_heap(heap_.begin(), heap_.end(), taskBelow);
-        ++counters_.cells_enqueued;
-        ++counters_.queue_depth;
-        ++fresh;
+        if (fates[i] == Attach)
+            ++counters_.cells_deduped;
+        pending_[hexes[i]].push_back(id);
     }
-    if (fresh == 1)
-        ready_.notify_one();
-    else if (fresh > 1)
-        ready_.notify_all();
-    return id;
+
+    Added added;
+    added.id = id;
+    if (job.status.complete()) {
+        added.finished.push_back(finishLocked(job));
+        evictFinishedLocked();
+    }
+    return added;
 }
 
-std::optional<Task>
-JobQueue::pop()
+bool
+JobQueue::pending(const batch::CacheKey &key) const
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return closed_ || !heap_.empty(); });
-    if (heap_.empty())
-        return std::nullopt; // closed and drained (or abandoned)
-    std::pop_heap(heap_.begin(), heap_.end(), taskBelow);
-    auto task = std::move(heap_.back());
-    heap_.pop_back();
-    --counters_.queue_depth;
-    ++counters_.running;
-    // The task stays in active_ while running so late submitters still
-    // attach to it; the worker's copy is only the cell to execute.
-    return *task;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return pending_.count(key.hex()) != 0;
 }
 
 std::vector<FinishedJob>
-JobQueue::complete(const Task &task, bool ok, const std::string &error,
-                   bool executed)
+JobQueue::resolve(const batch::CacheKey &key, bool ok,
+                  const std::string &error, bool executed)
 {
     std::vector<FinishedJob> finished;
     std::lock_guard<std::mutex> lock(mutex_);
-    --counters_.running;
-
-    // Fan out to the *live* task: jobs may have attached between the
-    // worker's pop() and now (the popped Task is a snapshot).
-    const auto it = active_.find(task.cell.key.hex());
-    const std::vector<std::uint64_t> attached =
-        it != active_.end() ? it->second->jobs : task.jobs;
-    if (it != active_.end())
-        active_.erase(it);
+    const auto it = pending_.find(key.hex());
+    if (it == pending_.end())
+        return finished;
+    const std::vector<std::uint64_t> attached = std::move(it->second);
+    pending_.erase(it);
+    ++resolved_;
+    if (ok && executed)
+        ++counters_.cells_executed;
 
     bool first = true;
     for (const std::uint64_t id : attached) {
@@ -224,66 +324,39 @@ JobQueue::complete(const Task &task, bool ok, const std::string &error,
             ++job.status.failed;
             if (job.status.first_error.empty())
                 job.status.first_error = error;
-        }
-        // Only the first attached job "owns" the execution; everyone
-        // else got the cell for free, cache-hit-equivalent.
-        if (ok && executed && first)
+        } else if (executed && first) {
+            // Only the first attached job owns the execution; the
+            // others got the cell cache-hit-equivalent.
             ++job.executed;
-        else if (ok)
+        } else {
             ++job.cached;
-        first = false;
-
-        if (job.status.complete()) {
-            ++counters_.jobs_completed;
-            if (job.status.failed > 0)
-                ++counters_.jobs_failed;
-            finished.push_back({job.status, job.executed, job.cached,
-                                job.spool_path});
-            finished_order_.push_back(id);
         }
+        first = false;
+        if (job.status.complete())
+            finished.push_back(finishLocked(job));
     }
     evictFinishedLocked();
     return finished;
 }
 
-void
-JobQueue::settle(const std::vector<FinishedJob> &finished)
+FinishedJob
+JobQueue::finishLocked(JobRecord &job)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &job : finished) {
-        const auto it = jobs_.find(job.status.id);
-        if (it != jobs_.end())
-            it->second.settled = true;
-    }
-    if (counters_.parked > 0)
-        finished_.notify_all();
-}
-
-std::optional<JobStatus>
-JobQueue::waitJob(std::uint64_t id, unsigned timeout_ms)
-{
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        const auto it = jobs_.find(id);
-        if (it == jobs_.end())
-            return std::nullopt;
-        if (it->second.settled || released_ ||
-            std::chrono::steady_clock::now() >= until)
-            return it->second.status;
-        ++counters_.parked;
-        finished_.wait_until(lock, until);
-        --counters_.parked;
-    }
-}
-
-void
-JobQueue::releaseWaiters()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    finished_.notify_all();
+    ++counters_.jobs_completed;
+    if (job.status.failed > 0)
+        ++counters_.job_failures;
+    // One job is one logical run against the shared cache, as for
+    // batch_run; the writer thread folds it into stats.tsv.
+    runs_.last_run_executed = unflushed_.last_run_executed = job.executed;
+    runs_.last_run_cached = unflushed_.last_run_cached = job.cached;
+    runs_.total_executed += job.executed;
+    runs_.total_cached += job.cached;
+    unflushed_.total_executed += job.executed;
+    unflushed_.total_cached += job.cached;
+    dirty_ = true;
+    flush_cv_.notify_one();
+    finished_order_.push_back(job.status.id);
+    return job;
 }
 
 void
@@ -306,27 +379,87 @@ JobQueue::evictFinishedLocked()
 }
 
 void
+JobQueue::settle(const std::vector<FinishedJob> &finished)
+{
+    if (finished.empty())
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &job : finished) {
+        const auto it = jobs_.find(job.status.id);
+        if (it != jobs_.end())
+            it->second.settled = true;
+    }
+    if (counters_.parked > 0)
+        settled_cv_.notify_all();
+}
+
+std::optional<JobStatus>
+JobQueue::waitJob(std::uint64_t id, unsigned timeout_ms)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(timeout_ms);
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        const auto it = jobs_.find(id);
+        if (it == jobs_.end())
+            return std::nullopt;
+        if (it->second.settled || released_ ||
+            std::chrono::steady_clock::now() >= until)
+            return it->second.status;
+        ++counters_.parked;
+        settled_cv_.wait_until(lock, until);
+        --counters_.parked;
+    }
+}
+
+void
+JobQueue::releaseWaiters()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    settled_cv_.notify_all();
+}
+
+void
 JobQueue::close()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
-    // Queued-but-unstarted tasks are abandoned: their spool manifests
-    // stay put and are rescanned by the next serve. In-flight tasks
-    // (popped, still in active_) drain through complete() as usual.
-    counters_.queue_depth = 0;
-    for (const auto &task : heap_)
-        active_.erase(task->cell.key.hex());
-    heap_.clear();
-    ready_.notify_all();
     released_ = true;
-    finished_.notify_all();
+    settled_cv_.notify_all();
 }
 
-bool
-JobQueue::closed() const
+void
+JobQueue::flushLoop()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        flush_cv_.wait(lock, [&] { return dirty_ || flush_stop_; });
+        if (!dirty_)
+            return; // stopped with nothing left to write
+        const batch::ResultCache::RunStats runs = unflushed_;
+        unflushed_ = {};
+        dirty_ = false;
+        lock.unlock();
+        try {
+            cache_.recordRuns(runs);
+        } catch (const std::exception &e) {
+            warn("run counters not written to stats.tsv: %s", e.what());
+        }
+        lock.lock();
+    }
+}
+
+void
+JobQueue::flush()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        flush_stop_ = true;
+        flush_cv_.notify_one();
+    }
+    if (flusher_.joinable())
+        flusher_.join();
 }
 
 std::optional<JobStatus>
@@ -353,11 +486,87 @@ JobQueue::jobs() const
     return out;
 }
 
-JobQueue::Counters
+ServiceCounters
 JobQueue::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    ServiceCounters c = counters_;
+    c.cells_pending = pending_.size();
+    return c;
+}
+
+std::string
+JobQueue::serverCounterLine() const
+{
+    ServiceCounters jobs = counters();
+    FleetStats fleet;
+    if (counter_hook_)
+        counter_hook_(jobs, fleet);
+    return counterLine(jobs, fleet);
+}
+
+protocol::Reply
+JobQueue::handle(const protocol::Request &request)
+{
+    switch (request.op) {
+      case protocol::Opcode::Status: {
+        if (!request.body.empty()) {
+            const auto status = job(batch::parseCount(request.body));
+            if (!status)
+                return protocol::Reply::error("unknown job " +
+                                              request.body);
+            return protocol::Reply::success(jobStatusLine(*status));
+        }
+        std::string text = serverCounterLine();
+        for (const auto &status : jobs())
+            text += jobStatusLine(status);
+        return protocol::Reply::success(std::move(text));
+      }
+      case protocol::Opcode::Wait: {
+        const protocol::WaitRequest wait =
+            protocol::parseWaitRequest(request.body);
+        const auto status = waitJob(wait.job, wait.timeout_ms);
+        if (!status)
+            return protocol::Reply::error("unknown job " +
+                                          std::to_string(wait.job));
+        return protocol::Reply::success(jobStatusLine(*status));
+      }
+      case protocol::Opcode::Result: {
+        auto bytes =
+            cache_.loadBytes(batch::CacheKey::fromHex(request.body));
+        if (!bytes)
+            return protocol::Reply::error("no cached result for key " +
+                                          request.body);
+        return protocol::Reply::success(std::move(*bytes));
+      }
+      case protocol::Opcode::Stats: {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const batch::ResultCache::RunStats runs = runs_;
+        lock.unlock();
+        std::ostringstream os;
+        os << "last_run_executed=" << runs.last_run_executed
+           << " last_run_cached=" << runs.last_run_cached
+           << " total_executed=" << runs.total_executed
+           << " total_cached=" << runs.total_cached << "\n"
+           << serverCounterLine();
+        return protocol::Reply::success(os.str());
+      }
+      case protocol::Opcode::Shutdown: {
+        // The drain starts only after "ok" is on the wire (see
+        // Reply::after_send): the shutdown client always gets its
+        // acknowledgment.
+        protocol::Reply reply = protocol::Reply::success("ok\n");
+        reply.after_send = shutdown_hook_;
+        return reply;
+      }
+      case protocol::Opcode::ResultPart:
+      case protocol::Opcode::ResultEnd:
+        // readRequest() rejects these standalone; belt and braces.
+        return protocol::Reply::error(
+            "continuation frame outside a COMPLETE stream");
+      default:
+        return protocol::Reply::error("unhandled opcode");
+    }
 }
 
 } // namespace delorean::service

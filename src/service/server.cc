@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdarg>
+#include <cstdio>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -73,6 +75,17 @@ connectToServer(const std::string &socket_path)
     }
     setIoTimeouts(fd);
     return fd;
+}
+
+void
+verboseLog(bool on, const char *format, ...)
+{
+    if (!on)
+        return;
+    std::va_list args;
+    va_start(args, format);
+    std::vfprintf(stderr, format, args);
+    va_end(args);
 }
 
 SocketServer::SocketServer(std::string socket_path, Handler handler)
@@ -160,12 +173,14 @@ SocketServer::stop()
     listen_fd_ = -1;
 
     // Kick every live connection out of its blocking read so the
-    // joins below return promptly, then join everything.
+    // joins below return promptly, then join everything. Only the
+    // read side is cut: a handler already answering (a WAIT that
+    // shutdown released) still writes its whole reply.
     {
         std::lock_guard<std::mutex> lock(conn_mutex_);
         for (const auto &conn : connections_)
             if (!conn->finished.load())
-                (void)::shutdown(conn->fd, SHUT_RDWR);
+                (void)::shutdown(conn->fd, SHUT_RD);
     }
     for (;;) {
         std::unique_ptr<Connection> victim;

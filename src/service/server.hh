@@ -13,18 +13,18 @@
  * Each accepted connection gets its own thread: clients legitimately
  * hold a connection open across many exchanges (a status-polling loop,
  * an interactive session), and one of those must not starve a second
- * submitter. Handlers stay cheap by contract — submit parses a
- * manifest, result streams one cached record — simulation work never
- * runs here, it goes through the JobQueue to the worker pool. A stuck
+ * submitter. Handlers stay cheap by contract — submit parses and
+ * probes a manifest, result streams one cached record — simulation
+ * work never runs here, it goes to the server's executor. A stuck
  * or malicious peer cannot wedge the daemon: per-connection
  * receive/send timeouts drop idle peers, malformed frames drop the
  * connection with a warn(), and the frame layer bounds body
  * allocations.
  *
  * stop() is graceful and idempotent: the listener stops accepting,
- * every open connection is shutdown(2) so blocked reads return
- * immediately, connection threads are joined, and the socket file is
- * unlinked.
+ * every open connection's read side is shutdown(2) so blocked reads
+ * return immediately while a reply being written still completes,
+ * connection threads are joined, and the socket file is unlinked.
  */
 
 #ifndef DELOREAN_SERVICE_SERVER_HH
@@ -124,6 +124,11 @@ class SocketServer
  * probe.
  */
 int connectToServer(const std::string &socket_path);
+
+/** Print one progress line (printf @p format) to stderr when @p on:
+ *  the --verbose log of servers and workers. */
+[[gnu::format(printf, 2, 3)]] void verboseLog(bool on, const char *format,
+                                              ...);
 
 } // namespace delorean::service
 

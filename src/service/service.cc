@@ -1,7 +1,6 @@
 #include "service/service.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,16 +11,18 @@
 #include "batch/runner.hh"
 #include "core/parallel.hh"
 #include "service/server.hh"
-#include "workload/endian.hh"
 #include "workload/trace_io.hh"
 
 namespace delorean::service
 {
 
-namespace le = workload::le;
-
 BatchService::BatchService(ServiceConfig config)
-    : config_(std::move(config)), cache_(config_.cache_dir)
+    : config_(std::move(config)), cache_(config_.cache_dir),
+      jobs_(cache_,
+            [this](ServiceCounters &jobs, FleetStats &) {
+                jobs.cells_executed += streams_closed_.load();
+            },
+            [this] { requestShutdown(); })
 {
     if (config_.socket_path.empty())
         throw ServiceError("service: no socket path");
@@ -34,147 +35,184 @@ BatchService::BatchService(ServiceConfig config)
 void
 BatchService::requestShutdown()
 {
+    // Release parked WAITs before run() wakes and stops the server, so
+    // each released WAIT answers on a connection that is still open.
+    jobs_.releaseWaiters();
     {
         std::lock_guard<std::mutex> lock(shutdown_mutex_);
         shutdown_ = true;
     }
     shutdown_cv_.notify_all();
-    // The server joins its connection threads before queue_.close(),
-    // so a parked WAIT must be released here or the join would wait
-    // out its timeout.
-    queue_.releaseWaiters();
+}
+
+ServiceCounters
+BatchService::counters() const
+{
+    ServiceCounters jobs = jobs_.counters();
+    jobs.cells_executed += streams_closed_.load();
+    return jobs;
 }
 
 void
 BatchService::run()
 {
-    // Workers first: each drain-loop thunk occupies one pool worker
-    // until the queue closes, so sizes must match exactly.
-    core::ThreadPool pool(core::resolveThreads(config_.threads));
-    for (unsigned i = 0; i < pool.size(); ++i)
-        pool.submit([this] { drainLoop(); });
-
-    std::thread watch_thread;
-    if (watcher_) {
-        watch_thread = std::thread([this] {
-            std::unique_lock<std::mutex> lock(shutdown_mutex_);
-            while (!shutdown_) {
-                lock.unlock();
-                for (auto &pickup : watcher_->scan()) {
-                    try {
-                        const std::uint64_t id = queue_.addJob(
-                            pickup.plan, pickup.name, JobSource::Spool,
-                            spool_priority, pickup.path);
-                        if (config_.verbose)
-                            std::fprintf(stderr,
-                                         "[service] spool pickup %s "
-                                         "-> job %llu (%zu cells)\n",
-                                         pickup.name.c_str(),
-                                         (unsigned long long)id,
-                                         pickup.plan.cells().size());
-                    } catch (const ServiceError &) {
-                        break; // closed under us: shutting down
-                    }
-                }
-                lock.lock();
-                shutdown_cv_.wait_for(
-                    lock, std::chrono::milliseconds(config_.poll_ms),
-                    [&] { return shutdown_; });
-            }
-        });
-    }
-
-    // From here on the workers block in queue_.pop() and the watch
-    // thread in its timed wait: every exit path — including a failed
-    // server start (socket already taken) — must unblock both before
-    // the pool/thread destructors join, or run() deadlocks on its own
-    // stack unwind.
     std::exception_ptr error;
-    try {
-        SocketServer server(config_.socket_path,
-                            [this](const protocol::Request &request,
-                                   std::uint64_t) {
-                                return handle(request);
-                            });
-        server.start();
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[service] listening on %s (cache %s, %u "
-                         "workers%s%s)\n",
-                         config_.socket_path.c_str(),
-                         cache_.dir().c_str(), pool.size(),
-                         watcher_ ? ", spool " : "",
-                         watcher_ ? watcher_->dir().c_str() : "");
-
-        std::unique_lock<std::mutex> lock(shutdown_mutex_);
-        shutdown_cv_.wait(lock, [&] { return shutdown_; });
-        // ~SocketServer stops accepting and joins connections.
-    } catch (...) {
-        error = std::current_exception();
-    }
-
-    // Graceful drain: no new connections or pickups, abandon queued
-    // tasks, let in-flight cells finish and publish their results.
-    requestShutdown();
-    if (watch_thread.joinable())
-        watch_thread.join();
     {
-        // No new tailers start once the server is down; join the
-        // survivors (they observe shutdown_ within one poll).
-        std::lock_guard<std::mutex> lock(tailers_mutex_);
-        for (auto &tailer : tailers_)
-            if (tailer.joinable())
-                tailer.join();
-        tailers_.clear();
+        // Workers first: each drain-loop thunk occupies one pool
+        // worker until the heap closes, so sizes must match exactly.
+        core::ThreadPool pool(core::resolveThreads(config_.threads));
+        for (unsigned i = 0; i < pool.size(); ++i)
+            pool.submit([this] { drainLoop(); });
+
+        std::thread watch_thread;
+        if (watcher_) {
+            watch_thread = std::thread([this] {
+                std::unique_lock<std::mutex> lock(shutdown_mutex_);
+                while (!shutdown_) {
+                    lock.unlock();
+                    for (auto &pickup : watcher_->scan()) {
+                        try {
+                            const std::uint64_t id = addJob(
+                                pickup.plan, jobs_.probe(pickup.plan),
+                                {pickup.name, JobSource::Spool,
+                                 spool_priority, pickup.path, 0});
+                            verboseLog(config_.verbose,
+                                       "[service] spool pickup %s -> job "
+                                       "%llu (%zu cells)\n",
+                                       pickup.name.c_str(),
+                                       (unsigned long long)id,
+                                       pickup.plan.cells().size());
+                        } catch (const ServiceError &) {
+                            break; // closed under us: shutting down
+                        }
+                    }
+                    lock.lock();
+                    shutdown_cv_.wait_for(
+                        lock, std::chrono::milliseconds(config_.poll_ms),
+                        [&] { return shutdown_; });
+                }
+            });
+        }
+
+        // From here on the workers block on the heap and the watch
+        // thread in its timed wait: every exit path — including a
+        // failed server start (socket already taken) — must unblock
+        // both before the pool/thread destructors join, or run()
+        // deadlocks on its own stack unwind.
+        try {
+            SocketServer server(config_.socket_path,
+                                [this](const protocol::Request &request,
+                                       std::uint64_t) {
+                                    return handle(request);
+                                });
+            server.start();
+            verboseLog(config_.verbose,
+                       "[service] listening on %s (cache %s, %u "
+                       "workers%s%s)\n",
+                       config_.socket_path.c_str(), cache_.dir().c_str(),
+                       pool.size(), watcher_ ? ", spool " : "",
+                       watcher_ ? watcher_->dir().c_str() : "");
+
+            std::unique_lock<std::mutex> lock(shutdown_mutex_);
+            shutdown_cv_.wait(lock, [&] { return shutdown_; });
+            // ~SocketServer stops accepting and joins connections.
+        } catch (...) {
+            error = std::current_exception();
+        }
+
+        // Graceful drain: no new connections or pickups, abandon
+        // queued cells, let in-flight cells finish and publish.
+        requestShutdown();
+        if (watch_thread.joinable())
+            watch_thread.join();
+        {
+            // No new tailers start once the server is down; join the
+            // survivors (they observe shutdown_ within one poll).
+            std::lock_guard<std::mutex> lock(tailers_mutex_);
+            for (auto &tailer : tailers_)
+                if (tailer.joinable())
+                    tailer.join();
+            tailers_.clear();
+        }
+        jobs_.close();
+        {
+            std::lock_guard<std::mutex> lock(heap_mutex_);
+            heap_closed_ = true;
+        }
+        heap_cv_.notify_all();
+        // ~ThreadPool joins the workers once their drain loops return.
     }
-    queue_.close();
-    // ~ThreadPool joins the workers once their drain loops return.
+    jobs_.flush();
     if (error)
         std::rethrow_exception(error);
+}
+
+std::uint64_t
+BatchService::addJob(const batch::BatchPlan &plan,
+                     const JobQueue::Probe &probe, const JobOrigin &origin)
+{
+    const auto added = jobs_.add(
+        plan, probe, origin,
+        [&](std::uint64_t id,
+            const std::vector<const batch::BatchCell *> &fresh) {
+            if (fresh.empty())
+                return;
+            std::lock_guard<std::mutex> lock(heap_mutex_);
+            for (const batch::BatchCell *cell : fresh) {
+                heap_.push_back({*cell, id, origin.priority, next_seq_++});
+                std::push_heap(heap_.begin(), heap_.end(),
+                               heapBelow<Task>);
+            }
+            heap_cv_.notify_all();
+        });
+    finishJobs(added.finished);
+    return added.id;
 }
 
 void
 BatchService::drainLoop()
 {
-    while (auto task = queue_.pop()) {
-        const batch::BatchCell &cell = task->cell;
+    for (;;) {
+        Task task;
+        {
+            std::unique_lock<std::mutex> lock(heap_mutex_);
+            heap_cv_.wait(lock,
+                          [&] { return heap_closed_ || !heap_.empty(); });
+            // Closed: queued-but-unstarted cells are abandoned, their
+            // spool manifests stay put for the next serve.
+            if (heap_closed_)
+                return;
+            std::pop_heap(heap_.begin(), heap_.end(), heapBelow<Task>);
+            task = std::move(heap_.back());
+            heap_.pop_back();
+        }
+        const batch::BatchCell &cell = task.cell;
         bool ok = true;
-        bool executed = false;
         std::string error;
         try {
-            if (cache_.load(cell.key)) {
-                cache_hits_.fetch_add(1);
-            } else {
-                if (config_.verbose)
-                    std::fprintf(stderr, "[service] run %s %s (%s/%s)\n",
-                                 cell.workload.c_str(),
-                                 cell.method.c_str(),
-                                 cell.config_name.c_str(),
-                                 cell.schedule_name.c_str());
-                const auto result = batch::BatchRunner::runCell(cell);
-                // Same mid-run re-record guard as BatchRunner::run: a
-                // file workload whose content changed between keying
-                // and execution must not publish under the stale key.
-                if (batch::specIsFileBacked(
-                        batch::normalizeSpec(cell.workload)) &&
-                    workloadIdentityFor(task->jobs.front(),
-                                        cell.workload) !=
-                        cell.workload_identity)
-                    throw batch::BatchError(
-                        cell.workload +
-                        ": file changed while the job was queued; "
-                        "result discarded — resubmit the plan");
-                cache_.store(cell.key, result);
-                executed_.fetch_add(1);
-                executed = true;
-            }
+            verboseLog(config_.verbose, "[service] run %s %s (%s/%s)\n",
+                       cell.workload.c_str(), cell.method.c_str(),
+                       cell.config_name.c_str(), cell.schedule_name.c_str());
+            const auto result = batch::BatchRunner::runCell(cell);
+            // Same mid-run re-record guard as BatchRunner::run: a
+            // file workload whose content changed between keying and
+            // execution must not publish under the stale key.
+            if (batch::specIsFileBacked(
+                    batch::normalizeSpec(cell.workload)) &&
+                workloadIdentityFor(task.job, cell.workload) !=
+                    cell.workload_identity)
+                throw batch::BatchError(
+                    cell.workload +
+                    ": file changed while the job was queued; "
+                    "result discarded — resubmit the plan");
+            cache_.store(cell.key, result);
         } catch (const std::exception &e) {
             ok = false;
             error = e.what();
             warn("service cell %s [%s] failed: %s",
                  cell.workload.c_str(), cell.method.c_str(), e.what());
         }
-        finishJobs(queue_.complete(*task, ok, error, executed));
+        finishJobs(jobs_.resolve(cell.key, ok, error, ok));
     }
 }
 
@@ -201,26 +239,18 @@ BatchService::workloadIdentityFor(std::uint64_t job,
 void
 BatchService::finishJobs(const std::vector<FinishedJob> &finished)
 {
-    if (finished.empty())
-        return;
     for (const auto &job : finished) {
         {
             // The job's workload-identity memo dies with it.
             std::lock_guard<std::mutex> lock(identity_mutex_);
             identities_.erase(job.status.id);
         }
-        // Mirror batch_run's per-invocation counters: one job = one
-        // logical "run" against the shared cache.
-        cache_.recordRun(job.executed, job.cached);
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[service] job %llu %s: executed=%llu "
-                         "cached=%llu failed=%zu\n",
-                         (unsigned long long)job.status.id,
-                         job.status.state(),
-                         (unsigned long long)job.executed,
-                         (unsigned long long)job.cached,
-                         job.status.failed);
+        verboseLog(config_.verbose,
+                   "[service] job %llu %s: executed=%llu cached=%llu "
+                   "failed=%zu\n",
+                   (unsigned long long)job.status.id, job.status.state(),
+                   (unsigned long long)job.executed,
+                   (unsigned long long)job.cached, job.status.failed);
 
         if (job.spool_path.empty())
             continue;
@@ -230,7 +260,7 @@ BatchService::finishJobs(const std::vector<FinishedJob> &finished)
         else
             watcher_->moveDone(job.spool_path);
     }
-    queue_.settle(finished);
+    jobs_.settle(finished);
 }
 
 protocol::Reply
@@ -240,21 +270,9 @@ BatchService::handle(const protocol::Request &request)
       case protocol::Opcode::Submit:
         return handleSubmit(request.body);
       case protocol::Opcode::Status:
-        return handleStatus(request.body);
-      case protocol::Opcode::Result:
-        return handleResult(request.body);
-      case protocol::Opcode::Stats:
-        return handleStats();
-      case protocol::Opcode::Wait:
-        return handleWait(request.body);
-      case protocol::Opcode::Shutdown: {
-        // The drain starts only after "ok" is on the wire (see
-        // Reply::after_send) — the shutdown client must always get
-        // its acknowledgment.
-        protocol::Reply reply{true, "ok\n", nullptr};
-        reply.after_send = [this] { requestShutdown(); };
-        return reply;
-      }
+        if (request.body.rfind("stream=", 0) == 0)
+            return handleStreamStatus(request.body);
+        break;
       case protocol::Opcode::StreamOpen:
         return handleStreamOpen(request.body);
       case protocol::Opcode::StreamAppend:
@@ -271,109 +289,23 @@ BatchService::handle(const protocol::Request &request)
         return protocol::Reply::error(
             "this is a batch service socket, not a fleet coordinator; "
             "start one with 'batch_service coordinate'");
-      case protocol::Opcode::ResultPart:
-      case protocol::Opcode::ResultEnd:
-        // readRequest() rejects these standalone; belt and braces.
-        return protocol::Reply::error(
-            "continuation frame outside a COMPLETE stream");
+      default:
+        break;
     }
-    return protocol::Reply::error("unhandled opcode");
+    return jobs_.handle(request);
 }
 
 protocol::Reply
 BatchService::handleSubmit(const std::string &body)
 {
-    if (body.size() < 4)
-        throw ServiceError("SUBMIT: missing priority prefix");
-    const std::uint32_t raw_priority = le::getU32(
-        reinterpret_cast<const std::uint8_t *>(body.data()));
-    // Keep client priorities in a sane band below nothing and above
-    // everything the spool uses.
-    const int priority = int(std::min(raw_priority, 1000u));
-    const std::string text = body.substr(4);
-
-    const auto plan = batch::BatchPlan::fromManifestText(text, "submit");
+    const JobQueue::Submission submit = jobs_.submission(body);
     const std::uint64_t id =
-        queue_.addJob(plan, "socket", JobSource::Socket, priority);
-    if (config_.verbose)
-        std::fprintf(stderr, "[service] submit -> job %llu (%zu cells)\n",
-                     (unsigned long long)id, plan.cells().size());
-
-    std::ostringstream os;
-    os << "job=" << id << " cells=" << plan.cells().size() << "\n";
-    return protocol::Reply::success(os.str());
+        addJob(submit.plan, submit.probe,
+               {"socket", JobSource::Socket, submit.priority, "", 0});
+    verboseLog(config_.verbose, "[service] submit -> job %llu (%zu cells)\n",
+               (unsigned long long)id, submit.plan.cells().size());
+    return JobQueue::submitted(id, submit.plan.cells().size());
 }
-
-protocol::Reply
-BatchService::handleStatus(const std::string &body)
-{
-    std::ostringstream os;
-    if (body.rfind("stream=", 0) == 0)
-        return handleStreamStatus(body);
-    if (!body.empty()) {
-        const std::uint64_t id = batch::parseCount(body);
-        const auto job = queue_.job(id);
-        if (!job)
-            return protocol::Reply::error("unknown job " + body);
-        return protocol::Reply::success(jobStatusLine(*job));
-    }
-
-    const auto c = queue_.counters();
-    os << "jobs=" << c.jobs_submitted
-       << " completed=" << c.jobs_completed
-       << " job_failures=" << c.jobs_failed
-       << " queue_depth=" << c.queue_depth << " running=" << c.running
-       << " cells_enqueued=" << c.cells_enqueued
-       << " cells_deduped=" << c.cells_deduped
-       << " cells_executed=" << executed_.load()
-       << " cells_cached=" << cache_hits_.load() << "\n";
-    for (const auto &job : queue_.jobs())
-        os << jobStatusLine(job);
-    return protocol::Reply::success(os.str());
-}
-
-protocol::Reply
-BatchService::handleWait(const std::string &body)
-{
-    const protocol::WaitRequest wait = protocol::parseWaitRequest(body);
-    const auto job = queue_.waitJob(wait.job, wait.timeout_ms);
-    if (!job)
-        return protocol::Reply::error("unknown job " +
-                                      std::to_string(wait.job));
-    return protocol::Reply::success(jobStatusLine(*job));
-}
-
-protocol::Reply
-BatchService::handleResult(const std::string &body)
-{
-    const batch::CacheKey key = batch::CacheKey::fromHex(body);
-    auto bytes = cache_.loadBytes(key);
-    if (!bytes)
-        return protocol::Reply::error("no cached result for key " +
-                                      body);
-    return protocol::Reply::success(std::move(*bytes));
-}
-
-namespace
-{
-
-/** Parse a "stream=<id>" token (optional trailing newline). */
-std::uint64_t
-parseStreamId(std::string text, const char *what)
-{
-    if (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    if (text.rfind("stream=", 0) != 0)
-        throw ServiceError(std::string(what) +
-                           ": expected stream=<id>, got '" + text + "'");
-    try {
-        return batch::parseCount(text.substr(sizeof("stream=") - 1));
-    } catch (const batch::BatchError &e) {
-        throw ServiceError(std::string(what) + ": " + e.what());
-    }
-}
-
-} // namespace
 
 std::shared_ptr<BatchService::StreamEntry>
 BatchService::findStream(std::uint64_t id)
@@ -447,11 +379,9 @@ BatchService::handleStreamOpen(const std::string &body)
         tailers_.emplace_back(
             [this, id, tail_path] { tailLoop(id, tail_path); });
     }
-    if (config_.verbose)
-        std::fprintf(stderr, "[service] stream %llu opened%s%s\n",
-                     (unsigned long long)id,
-                     tail_path.empty() ? "" : ", tailing ",
-                     tail_path.c_str());
+    verboseLog(config_.verbose, "[service] stream %llu opened%s%s\n",
+               (unsigned long long)id, tail_path.empty() ? "" : ", tailing ",
+               tail_path.c_str());
     return protocol::Reply::success("stream=" + std::to_string(id) +
                                     "\n");
 }
@@ -484,7 +414,7 @@ BatchService::handleStreamAppend(const std::string &body)
         throw ServiceError(
             "STREAM-APPEND: missing stream=<id> header line");
     const std::uint64_t id =
-        parseStreamId(body.substr(0, eol), "STREAM-APPEND");
+        protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
     const TraceStream::AppendInfo info =
         appendToStream(id, body.substr(eol + 1));
 
@@ -501,9 +431,15 @@ BatchService::tailLoop(std::uint64_t id, const std::string &path)
     std::uint64_t prev_size = 0;
     bool have_prev = false;
     bool seen_file = false;
-    for (;;) {
+    for (bool first = true;; first = false) {
         {
+            // One poll period between looks at the file; shutdown
+            // ends the tail.
             std::unique_lock<std::mutex> lock(shutdown_mutex_);
+            if (!first)
+                shutdown_cv_.wait_for(
+                    lock, std::chrono::milliseconds(config_.tail_poll_ms),
+                    [&] { return shutdown_; });
             if (shutdown_)
                 return;
         }
@@ -520,13 +456,6 @@ BatchService::tailLoop(std::uint64_t id, const std::string &path)
             }
             // Not created yet: tailing may legitimately start before
             // the recorder's first write. Keep polling.
-            std::unique_lock<std::mutex> lock(shutdown_mutex_);
-            shutdown_cv_.wait_for(
-                lock,
-                std::chrono::milliseconds(config_.tail_poll_ms),
-                [&] { return shutdown_; });
-            if (shutdown_)
-                return;
             continue;
         }
         seen_file = true;
@@ -551,9 +480,8 @@ BatchService::tailLoop(std::uint64_t id, const std::string &path)
                 appendToStream(id, bytes);
             } catch (const ServiceError &e) {
                 // Stream discarded (poisoned bytes) or already gone.
-                if (config_.verbose)
-                    std::fprintf(stderr, "[service] tail of %s: %s\n",
-                                 path.c_str(), e.what());
+                verboseLog(config_.verbose, "[service] tail of %s: %s\n",
+                           path.c_str(), e.what());
                 return;
             }
             offset = target;
@@ -568,19 +496,13 @@ BatchService::tailLoop(std::uint64_t id, const std::string &path)
         } catch (const ServiceError &) {
             return; // closed or discarded under us
         }
-        std::unique_lock<std::mutex> lock(shutdown_mutex_);
-        shutdown_cv_.wait_for(
-            lock, std::chrono::milliseconds(config_.tail_poll_ms),
-            [&] { return shutdown_; });
-        if (shutdown_)
-            return;
     }
 }
 
 protocol::Reply
 BatchService::handleStreamClose(const std::string &body)
 {
-    const std::uint64_t id = parseStreamId(body, "STREAM-CLOSE");
+    const std::uint64_t id = protocol::parseStreamId(body, "STREAM-CLOSE");
     auto entry = findStream(id);
 
     TraceStream::CloseInfo info;
@@ -597,14 +519,11 @@ BatchService::handleStreamClose(const std::string &body)
     // the missing appends or a retried close.
 
     cache_.store(info.key, info.result);
-    executed_.fetch_add(1);
+    streams_closed_.fetch_add(1);
     eraseStream(id);
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[service] stream %llu closed -> key %s "
-                     "(%u windows)\n",
-                     (unsigned long long)id, info.key.hex().c_str(),
-                     info.windows);
+    verboseLog(config_.verbose,
+               "[service] stream %llu closed -> key %s (%u windows)\n",
+               (unsigned long long)id, info.key.hex().c_str(), info.windows);
     return protocol::Reply::success(
         "key=" + info.key.hex() +
         " windows=" + std::to_string(info.windows) + "\n");
@@ -613,33 +532,10 @@ BatchService::handleStreamClose(const std::string &body)
 protocol::Reply
 BatchService::handleStreamStatus(const std::string &body)
 {
-    const std::uint64_t id = parseStreamId(body, "STATUS");
+    const std::uint64_t id = protocol::parseStreamId(body, "STATUS");
     auto entry = findStream(id);
     std::lock_guard<std::mutex> lock(entry->mutex);
     return protocol::Reply::success(entry->stream.statusLine());
-}
-
-protocol::Reply
-BatchService::handleStats()
-{
-    const auto stats = cache_.stats();
-    const auto c = queue_.counters();
-    std::ostringstream os;
-    os << "last_run_executed=" << stats.last_run_executed
-       << " last_run_cached=" << stats.last_run_cached
-       << " total_executed=" << stats.total_executed
-       << " total_cached=" << stats.total_cached << "\n"
-       << "cells_executed=" << executed_.load()
-       << " cells_cached=" << cache_hits_.load()
-       << " cells_enqueued=" << c.cells_enqueued
-       << " cells_deduped=" << c.cells_deduped
-       << " queue_depth=" << c.queue_depth << " running=" << c.running
-       << " jobs=" << c.jobs_submitted
-       << " completed=" << c.jobs_completed
-       << " job_failures=" << c.jobs_failed << " spool_processed="
-       << (watcher_ ? watcher_->processed() : 0)
-       << " parked=" << c.parked << "\n";
-    return protocol::Reply::success(os.str());
 }
 
 } // namespace delorean::service

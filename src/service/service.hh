@@ -13,19 +13,22 @@
  *  - a Unix-domain socket speaking DLRNSRV1 (service/protocol.hh),
  *    for interactive clients (`tools/batch_service`).
  *
- * Both feed one JobQueue whose tasks drain on a PR-1 ThreadPool: each
- * worker thread loops pop → consult ResultCache → simulate on miss →
- * store → fan completion out to every attached job. All PR-3/PR-4
- * guarantees carry over unchanged, because the service reuses the same
- * BatchRunner::runCell, the same content keys and the same result
- * serialization: a RESULT fetch returns bytes that parse into a
- * MethodResult equal (operator==, doubles bitwise) to a local run,
+ * Both go through the job table's one SUBMIT path (service/queue.hh):
+ * cache hits resolve inside SUBMIT, a cell already pending attaches
+ * to it, and only fresh cells reach the daemon's own executor — a
+ * priority heap of single cells drained by a core::ThreadPool, each
+ * drain loop running pop → simulate → store → resolve. Every batch
+ * guarantee carries over unchanged, because the service reuses the
+ * same BatchRunner::runCell, the same content keys and the same
+ * result serialization: a RESULT fetch returns bytes that parse into
+ * a MethodResult equal (operator==, doubles bitwise) to a local run,
  * with the producing run's measured phase timings riding along.
  *
- * Shutdown (SHUTDOWN request or requestShutdown()) is graceful: stop
- * accepting, stop scanning, abandon queued-but-unstarted tasks (their
- * manifests stay in the spool for the next serve), finish in-flight
- * cells and store their results before run() returns.
+ * Shutdown (SHUTDOWN request or requestShutdown()) is graceful:
+ * release parked WAITs, stop accepting, stop scanning, abandon queued
+ * but unstarted cells (their manifests stay in the spool for the next
+ * serve), finish in-flight cells and store their results, and write
+ * the last run counters to stats.tsv before run() returns.
  */
 
 #ifndef DELOREAN_SERVICE_SERVICE_HH
@@ -102,28 +105,31 @@ class BatchService
     /** Trigger the same graceful shutdown a SHUTDOWN request does. */
     void requestShutdown();
 
-    /** The queue's counters (testing / STATS). */
-    JobQueue::Counters counters() const { return queue_.counters(); }
+    /** The STATUS/STATS job and cell counters (testing). */
+    ServiceCounters counters() const;
 
-    /** Cells this process simulated / served from cache (lifetime). */
-    std::uint64_t cellsExecuted() const { return executed_.load(); }
-    std::uint64_t cellsFromCache() const { return cache_hits_.load(); }
+    /** Cells this process simulated (stream closes included) / served
+     *  from cache at SUBMIT (lifetime). */
+    std::uint64_t cellsExecuted() const { return counters().cells_executed; }
+    std::uint64_t cellsFromCache() const { return counters().cells_cached; }
 
     const batch::ResultCache &cache() const { return cache_; }
 
   private:
     /**
      * Dispatch one request. Called concurrently from the server's
-     * connection threads; everything it touches (queue, cache,
-     * atomics, watcher counters) is thread-safe by construction.
+     * connection threads; everything it touches (job table, heap,
+     * cache, streams) is thread-safe by construction.
      */
     protocol::Reply handle(const protocol::Request &request);
 
     protocol::Reply handleSubmit(const std::string &body);
-    protocol::Reply handleStatus(const std::string &body);
-    protocol::Reply handleResult(const std::string &body);
-    protocol::Reply handleStats();
-    protocol::Reply handleWait(const std::string &body);
+
+    /** The SUBMIT path of socket and spool jobs alike: register the
+     *  probed @p plan and push its fresh cells onto the heap. */
+    std::uint64_t addJob(const batch::BatchPlan &plan,
+                         const JobQueue::Probe &probe,
+                         const JobOrigin &origin);
 
     protocol::Reply handleStreamOpen(const std::string &body);
     protocol::Reply handleStreamAppend(const std::string &body);
@@ -163,7 +169,8 @@ class BatchService
      *  every declared byte is fed, the stream dies, or shutdown. */
     void tailLoop(std::uint64_t id, const std::string &path);
 
-    /** Worker-thread body: pop/execute/complete until closed. */
+    /** Worker-thread body: pop/execute/resolve until the heap
+     *  closes. */
     void drainLoop();
 
     /**
@@ -176,17 +183,35 @@ class BatchService
     batch::CacheKey workloadIdentityFor(std::uint64_t job,
                                         const std::string &spec);
 
-    /** Act on jobs that just completed (spool moves, run counters),
+    /** Act on jobs that just finished (spool moves, identity memo),
      *  then settle them so parked WAITs answer. */
     void finishJobs(const std::vector<FinishedJob> &finished);
 
+    /** One fresh cell awaiting a drain loop. */
+    struct Task
+    {
+        batch::BatchCell cell;
+        std::uint64_t job = 0; //!< the owning (first-submitter) job
+        int priority = 0;
+        std::uint64_t seq = 0; //!< FIFO tiebreak within a priority
+    };
+
     ServiceConfig config_;
     batch::ResultCache cache_;
-    JobQueue queue_;
+    JobQueue jobs_;
     std::unique_ptr<ManifestWatcher> watcher_; //!< null without spool
 
-    std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::uint64_t> cache_hits_{0};
+    /** Fresh cells, highest priority then oldest first (guarded by
+     *  heap_mutex_; closed at shutdown, abandoning what is left). */
+    std::mutex heap_mutex_;
+    std::condition_variable heap_cv_;
+    std::vector<Task> heap_;
+    std::uint64_t next_seq_ = 0;
+    bool heap_closed_ = false;
+
+    /** Streams closed into the cache: executed cells too (the
+     *  daemon's share of the counter line). */
+    std::atomic<std::uint64_t> streams_closed_{0};
 
     std::mutex shutdown_mutex_;
     std::condition_variable shutdown_cv_;

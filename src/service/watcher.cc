@@ -235,6 +235,20 @@ ManifestWatcher::moveLocked(const std::string &path,
         target = base + "." + std::to_string(n);
     }
 
+    // The .err sidecar goes first, so the manifest never shows up in
+    // failed/ ahead of its reason. It is the only place the failure
+    // reason survives — if it cannot be written (permissions, full
+    // disk), say so in the log rather than archiving a silent failure.
+    const std::string err_path = target + ".err";
+    if (error) {
+        std::ofstream os(err_path, std::ios::trunc);
+        os << *error << "\n";
+        os.flush();
+        if (!os)
+            warn("spool: cannot write failure reason to %s (job "
+                 "archived without it): %s", err_path.c_str(),
+                 error->c_str());
+    }
     std::error_code ec;
     fs::rename(path, target, ec);
     if (ec) {
@@ -243,23 +257,12 @@ ManifestWatcher::moveLocked(const std::string &path,
         // but clear in_flight so a future *edit* can resubmit it.
         warn("spool: cannot move %s to %s/: %s", path.c_str(),
              subdir.c_str(), ec.message().c_str());
+        if (error)
+            fs::remove(err_path, ec);
         const auto it = entries_.find(name);
         if (it != entries_.end())
             it->second.in_flight = false;
         return;
-    }
-    if (error) {
-        // The .err sidecar is the only place the failure reason
-        // survives — if it cannot be written (permissions, full disk),
-        // say so in the log rather than archiving a silent failure.
-        const std::string err_path = target + ".err";
-        std::ofstream os(err_path, std::ios::trunc);
-        os << *error << "\n";
-        os.flush();
-        if (!os)
-            warn("spool: cannot write failure reason to %s (job "
-                 "archived without it): %s", err_path.c_str(),
-                 error->c_str());
     }
     // Moved away: forget the path entirely. A later drop at the same
     // name — even with identical content — is a fresh submission.

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <condition_variable>
 #include <memory>
 #include <sstream>
+#include <unordered_map>
 
 #include "base/logging.hh"
 #include "batch/error.hh"
@@ -14,11 +15,68 @@
 #include "checkpoint/livepoint.hh"
 #include "core/session.hh"
 #include "service/client.hh"
+#include "service/server.hh"
 #include "service/stream.hh"
 #include "workload/trace_io.hh"
 
 namespace delorean::service
 {
+
+namespace
+{
+
+/**
+ * Renews one lease every third of its validity for as long as it
+ * lives, so a unit or window range that outlasts the lease is not
+ * re-leased under the worker. It borrows the pull thread's connection,
+ * which is idle while the lease runs; the destructor stops and joins
+ * it before that thread talks on the connection again. A killed
+ * worker stops renewing, so its lease still expires.
+ */
+class LeaseKeeper
+{
+  public:
+    LeaseKeeper(ServiceClient &client, std::uint64_t lease,
+                unsigned deadline_ms, const std::atomic<bool> &killed)
+        : thread_([this, &client, lease, &killed,
+                   period = std::chrono::milliseconds(
+                       std::max(1u, deadline_ms / 3))] {
+              std::unique_lock<std::mutex> lock(mutex_);
+              while (!cv_.wait_for(lock, period, [&] {
+                  return done_ || killed.load();
+              })) {
+                  lock.unlock();
+                  try {
+                      (void)client.renew(lease);
+                  } catch (const ServiceError &) {
+                      return; // expired or gone: COMPLETE will tell
+                  }
+                  lock.lock();
+              }
+          })
+    {}
+
+    ~LeaseKeeper()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        cv_.notify_all();
+        thread_.join();
+    }
+
+    LeaseKeeper(const LeaseKeeper &) = delete;
+    LeaseKeeper &operator=(const LeaseKeeper &) = delete;
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool done_ = false;
+    std::thread thread_; //!< last: it uses the members above
+};
+
+} // namespace
 
 WorkerLoop::WorkerLoop(WorkerConfig config)
     : config_(std::move(config)), cache_(config_.cache_dir)
@@ -137,7 +195,11 @@ WorkerLoop::pullLoop(unsigned thread_index)
             // of the BatchPlan API, so a mismatch means a file-backed
             // workload changed since submit — results must not
             // publish under the coordinator's (now stale) keys.
+            std::string failure;
+            std::string payload;
             try {
+                const LeaseKeeper keeper(*client, lease.lease,
+                                         lease.deadline_ms, killed_);
                 const auto plan = batch::BatchPlan::fromManifestText(
                     lease.manifest, "lease");
                 std::vector<const batch::BatchCell *> unit;
@@ -161,18 +223,33 @@ WorkerLoop::pullLoop(unsigned thread_index)
                                             misses.size());
 
                 if (!misses.empty()) {
-                    // Refresh the lease before the expensive part so
-                    // a long unit is not re-queued under us.
-                    (void)client->renew(lease.lease);
-                    if (config_.verbose)
-                        std::fprintf(stderr,
-                                     "[%s] lease %llu: running %zu of "
-                                     "%zu cells\n",
-                                     name.c_str(),
-                                     (unsigned long long)lease.lease,
-                                     misses.size(), unit.size());
+                    verboseLog(config_.verbose,
+                               "[%s] lease %llu: running %zu of %zu cells\n",
+                               name.c_str(), (unsigned long long)lease.lease,
+                               misses.size(), unit.size());
                     const auto results =
                         batch::BatchRunner::runUnit(misses);
+                    // Same after-run guard as BatchRunner::run: a file
+                    // re-recorded while the unit ran must not publish
+                    // the new bytes' result under the old key. One
+                    // digest per workload per unit.
+                    std::unordered_map<std::string, batch::CacheKey> now;
+                    for (const auto *cell : misses) {
+                        if (!batch::specIsFileBacked(
+                                batch::normalizeSpec(cell->workload)))
+                            continue;
+                        auto it = now.find(cell->workload);
+                        if (it == now.end())
+                            it = now.emplace(cell->workload,
+                                             batch::workloadIdentity(
+                                                 cell->workload))
+                                     .first;
+                        if (it->second != cell->workload_identity)
+                            throw batch::BatchError(
+                                cell->workload +
+                                ": file changed while the unit ran; "
+                                "result discarded — resubmit the plan");
+                    }
                     for (std::size_t i = 0; i < misses.size(); ++i)
                         cache_.store(misses[i]->key, results[i]);
                     cells_executed_.fetch_add(misses.size());
@@ -181,7 +258,6 @@ WorkerLoop::pullLoop(unsigned thread_index)
                 // Serialize from the cache, not the in-memory
                 // results: loadBytes is the canonical byte form, so
                 // the coordinator's re-store is bit-identical.
-                std::string payload;
                 for (const auto *cell : unit) {
                     auto bytes = cache_.loadBytes(cell->key);
                     if (!bytes)
@@ -190,15 +266,17 @@ WorkerLoop::pullLoop(unsigned thread_index)
                             " vanished from the local cache");
                     payload += *bytes;
                 }
-
-                if (killed_.load())
-                    return; // crashed: never COMPLETE, lease expires
+            } catch (const batch::BatchError &e) {
+                failure = e.what();
+            }
+            // The keeper is gone: the connection is ours again.
+            if (killed_.load())
+                return; // crashed: never COMPLETE, lease expires
+            if (failure.empty()) {
                 (void)client->complete(lease.lease, payload);
                 units_completed_.fetch_add(1);
-            } catch (const batch::BatchError &e) {
-                if (killed_.load())
-                    return;
-                (void)client->completeError(lease.lease, e.what());
+            } else {
+                (void)client->completeError(lease.lease, failure);
                 units_failed_.fetch_add(1);
             }
         } catch (const ServiceError &e) {
@@ -208,9 +286,8 @@ WorkerLoop::pullLoop(unsigned thread_index)
             client.reset();
             if (stop_.load())
                 return;
-            if (config_.verbose)
-                std::fprintf(stderr, "[%s] %s\n", name.c_str(),
-                             e.what());
+            verboseLog(config_.verbose, "[%s] %s\n",
+                       name.c_str(), e.what());
             unsigned left = pollBackoffMs(
                 reconnect_attempt++, ServiceClient::poll_base_ms,
                 ServiceClient::poll_cap_ms, 0x776f726bull + thread_index);
@@ -272,59 +349,54 @@ WorkerLoop::runStreamLease(ServiceClient &client,
                 " windows but the lease starts at window " +
                 std::to_string(lease.from));
 
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[%s] stream lease %llu: stream %llu windows "
-                         "[%u, %u)%s\n",
-                         name.c_str(), (unsigned long long)lease.lease,
-                         (unsigned long long)lease.stream, lease.from,
-                         lease.to, lease.finish ? ", finish" : "");
+        verboseLog(config_.verbose,
+                   "[%s] stream lease %llu: stream %llu windows [%u, %u)%s\n",
+                   name.c_str(), (unsigned long long)lease.lease,
+                   (unsigned long long)lease.stream, lease.from, lease.to,
+                   lease.finish ? ", finish" : "");
 
         // The spool may still be growing; present exactly the records
         // the lease covers so every worker sees the same snapshot.
         workload::FileTrace master(lease.trace, false, lease.records);
         core::DeloreanSession session(config);
-        if (!warm.empty())
-            session.feedWarmWindows(master, warm);
+        std::string result_bytes;
+        std::string path = "-";
+        core::SessionEstimate est;
+        {
+            // Renewed until the handoff is ready, so a long warm
+            // stretch is not re-leased under us.
+            const LeaseKeeper keeper(client, lease.lease,
+                                     lease.deadline_ms, killed_);
+            if (!warm.empty())
+                session.feedWarmWindows(master, warm);
+            // A finish lease granted after every window was already
+            // committed has nothing left to warm.
+            const unsigned resumed = session.windowsFed();
+            if (lease.to > resumed)
+                session.feedWindows(master, lease.to - resumed);
+            windows_warmed_.fetch_add(lease.to - resumed);
 
-        // Refresh the lease before the expensive part so a long warm
-        // stretch is not re-leased under us.
-        (void)client.renew(lease.lease);
-
-        // A finish lease granted after every window was already
-        // committed has nothing left to warm.
-        const unsigned resumed = session.windowsFed();
-        if (lease.to > resumed)
-            session.feedWindows(master, lease.to - resumed);
-        windows_warmed_.fetch_add(lease.to - resumed);
-
-        const core::SessionEstimate est = session.estimate();
-        const std::string mrc = formatMrcPoints(est.mrc);
-
-        if (lease.finish) {
-            const sampling::MethodResult result = session.finish();
-            std::ostringstream os(std::ios::binary);
-            batch::writeMethodResult(os, result);
-            if (killed_.load())
-                return; // crashed: lease expires, stream re-leases
-            (void)client.streamHandoff(lease.lease, lease.to, "-",
-                                       est.mean_cpi, est.ci_error,
-                                       est.mpki, mrc, os.str());
-        } else {
-            // Suspend: ship the fed prefix as a live-point file next
-            // to the spool (shared filesystem); the coordinator
-            // validates and installs it, or deletes it on rejection.
-            const checkpoint::LivePointFile file =
-                checkpoint::sessionLivePoints(session, spec);
-            const std::string path = lease.trace + ".lvp." +
-                                     std::to_string(lease.lease);
-            checkpoint::writeLivePointFile(path, file);
-            if (killed_.load())
-                return;
-            (void)client.streamHandoff(lease.lease, lease.to, path,
-                                       est.mean_cpi, est.ci_error,
-                                       est.mpki, mrc, "");
+            est = session.estimate();
+            if (lease.finish) {
+                std::ostringstream os(std::ios::binary);
+                batch::writeMethodResult(os, session.finish());
+                result_bytes = os.str();
+            } else {
+                // Suspend: ship the fed prefix as a live-point file
+                // next to the spool (shared filesystem); the
+                // coordinator validates and installs it, or deletes
+                // it on rejection.
+                path = lease.trace + ".lvp." + std::to_string(lease.lease);
+                checkpoint::writeLivePointFile(
+                    path, checkpoint::sessionLivePoints(session, spec));
+            }
         }
+        if (killed_.load())
+            return; // crashed: lease expires, stream re-leases
+        (void)client.streamHandoff(lease.lease, lease.to, path,
+                                   est.mean_cpi, est.ci_error, est.mpki,
+                                   formatMrcPoints(est.mrc),
+                                   result_bytes);
         stream_leases_completed_.fetch_add(1);
     } catch (const ServiceError &) {
         throw; // transport: reconnect in pullLoop

@@ -18,10 +18,15 @@
  *  3. Cells already in the worker's *local* result cache are served
  *     from it; the rest run through batch::BatchRunner::runUnit — the
  *     exact scheduler a local batch_run uses, which is half of the
- *     fleet's bit-identity guarantee.
- *  4. The lease is RENEWed once just before execution, then COMPLETE
- *     returns the serialized records in unit order (chunked past the
- *     frame cap by the protocol layer).
+ *     fleet's bit-identity guarantee. A file-backed workload is
+ *     digested again after the run, as batch_run does: a file
+ *     re-recorded while the unit ran fails the unit instead of
+ *     publishing under the old key.
+ *  4. While the lease runs, the worker RENEWs it every third of its
+ *     deadline-ms, so a unit longer than the lease is not re-leased
+ *     to another worker; then COMPLETE returns the serialized records
+ *     in unit order (chunked past the frame cap by the protocol
+ *     layer).
  *
  * Workers also execute *stream* leases (docs/service.md, "Stream
  * migration"): when no work unit is available, STREAM-LEASE may hand
@@ -41,8 +46,8 @@
  * sleeps: the reconnect backs off with pollBackoffMs on
  * ServiceClient::poll_base_ms/poll_cap_ms. stop() interrupts parked
  * LEASEs, finishes in-flight units and COMPLETEs them; kill()
- * abandons them — the lease expires and the coordinator re-queues,
- * which is the fault the fleet tests inject.
+ * abandons them and stops their renewals — the lease expires and the
+ * coordinator re-queues, which is the fault the fleet tests inject.
  */
 
 #ifndef DELOREAN_SERVICE_WORKER_HH

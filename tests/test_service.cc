@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the batch service (src/service/): DLRNSRV1 frame protocol
- * (round trip, malformed-input rejection), the priority JobQueue
- * (ordering, in-flight dedupe, close semantics), the spool
+ * (round trip, malformed-input rejection), the job table both servers
+ * own (SUBMIT-time hits and re-probes, in-flight dedupe, fan-out,
+ * close semantics, one counter-line grammar), the spool
  * ManifestWatcher (stability gate, pickup, failure handling — all via
  * manual scan() calls, no timing dependence), and the end-to-end
  * daemon: a SUBMIT → STATUS → RESULT round trip over a real Unix
@@ -20,10 +21,12 @@
  * local run, fault injection (expired leases re-queue; a worker
  * killed mid-plan does not change the merged result; a zombie's
  * duplicate COMPLETE is acked and discarded with first write
- * winning), SUBMIT quota/backlog backpressure, JobQueue edge cases
- * (exact eviction boundary, concurrent same-priority submits,
- * close() racing an in-flight completion), and the capped
- * exponential reconnect backoff.
+ * winning), leases renewed while a unit outlives them, the re-record
+ * guard on the lease path, SUBMIT quota/backlog backpressure, job
+ * table edge cases (exact eviction boundary, concurrent submits,
+ * close() racing an in-flight completion), the same STATUS/STATS
+ * grammar from both servers, and the capped exponential reconnect
+ * backoff.
  *
  * Parked requests (WAIT, LEASE wait_ms): each wake rule is checked by
  * reply content through Coordinator::handle in process — a SUBMIT's
@@ -193,7 +196,8 @@ struct ServiceFixture
     ~ServiceFixture()
     {
         service->requestShutdown();
-        runner.join();
+        if (runner.joinable())
+            runner.join();
     }
 
     /** Poll @p done (with a generous deadline: CI + ASan are slow). */
@@ -333,61 +337,78 @@ TEST(Protocol, CleanEofDuringPartialReplyIsTruncationError)
     }
 }
 
-// ------------------------------------------------------------ job queue
+// ------------------------------------------------------------ job table
+
+/** A job table over a fresh temp cache, as each server owns one. */
+struct TableFixture
+{
+    TempPath dir{"table"};
+    batch::ResultCache cache{dir.path};
+    JobQueue table{cache};
+
+    /** Probe and register @p plan as one socket job at @p priority;
+     *  @p fresh receives the cells it must execute. */
+    std::uint64_t
+    add(const batch::BatchPlan &plan, const std::string &name = "j",
+        std::size_t *fresh = nullptr)
+    {
+        const auto added = table.add(
+            plan, table.probe(plan), {name, JobSource::Socket, 0, "", 0},
+            [&](std::uint64_t,
+                const std::vector<const batch::BatchCell *> &cells) {
+                if (fresh)
+                    *fresh = cells.size();
+            });
+        table.settle(added.finished);
+        return added.id;
+    }
+};
 
 TEST(Queue, PriorityThenFifoOrder)
 {
-    JobQueue queue;
-    const auto plan_a = tinyPlan();         // 1 cell (llc=2MiB)
-    const auto plan_b = tinyPlan(
-        "workload bzip2\n"
-        "config c llc=4MiB\n"
-        "schedule s spacing=200000 regions=2\n");
-    const auto plan_c = tinyPlan(
-        "workload bzip2\n"
-        "config c llc=8MiB\n"
-        "schedule s spacing=200000 regions=2\n");
-
-    const auto low = queue.addJob(plan_a, "low", JobSource::Spool, 0);
-    const auto mid = queue.addJob(plan_b, "mid", JobSource::Spool, 0);
-    const auto high =
-        queue.addJob(plan_c, "high", JobSource::Socket, 10);
-
-    // Highest priority first; FIFO within equal priority.
-    const auto t1 = queue.pop();
-    const auto t2 = queue.pop();
-    const auto t3 = queue.pop();
-    ASSERT_TRUE(t1 && t2 && t3);
-    EXPECT_EQ(t1->jobs, std::vector<std::uint64_t>{high});
-    EXPECT_EQ(t2->jobs, std::vector<std::uint64_t>{low});
-    EXPECT_EQ(t3->jobs, std::vector<std::uint64_t>{mid});
-
-    for (const auto *t : {&*t1, &*t2, &*t3})
-        (void)queue.complete(*t, true, "", true);
-    EXPECT_EQ(queue.counters().jobs_completed, 3u);
+    // Both executors (the daemon's cell heap, the coordinator's ready
+    // units) pop by heapBelow: highest priority first, FIFO within.
+    struct Item
+    {
+        int priority;
+        std::uint64_t seq;
+    };
+    std::vector<Item> heap;
+    for (const Item item :
+         {Item{0, 0}, Item{0, 1}, Item{10, 2}, Item{10, 3}, Item{5, 4}}) {
+        heap.push_back(item);
+        std::push_heap(heap.begin(), heap.end(), heapBelow<Item>);
+    }
+    std::vector<std::uint64_t> order;
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), heapBelow<Item>);
+        order.push_back(heap.back().seq);
+        heap.pop_back();
+    }
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 3, 4, 0, 1}));
 }
 
 TEST(Queue, ConcurrentKeysDedupeToOneTask)
 {
-    JobQueue queue;
+    TableFixture t;
     const auto plan = tinyPlan();
-    const auto a = queue.addJob(plan, "a", JobSource::Socket, 10);
-    const auto b = queue.addJob(plan, "b", JobSource::Socket, 10);
+    std::size_t fresh_a = 9, fresh_b = 9;
+    const auto a = t.add(plan, "a", &fresh_a);
+    const auto b = t.add(plan, "b", &fresh_b);
 
-    // Identical content: one task, two attached jobs.
-    auto counters = queue.counters();
-    EXPECT_EQ(counters.cells_enqueued, 1u);
-    EXPECT_EQ(counters.cells_deduped, 1u);
+    // Identical content: one execution, two attached jobs.
+    EXPECT_EQ(fresh_a, 1u);
+    EXPECT_EQ(fresh_b, 0u);
+    EXPECT_EQ(t.table.counters().cells_deduped, 1u);
+    EXPECT_EQ(t.table.counters().cells_pending, 1u);
 
-    auto task = queue.pop();
-    ASSERT_TRUE(task.has_value());
+    // A key stays pending until it resolves, queued or running: a
+    // third submitter attaches too.
+    const auto c = t.add(plan, "c");
+    EXPECT_EQ(t.table.counters().cells_deduped, 2u);
 
-    // Dedupe also applies while the task is *running* (popped but not
-    // completed): a third submitter attaches to the in-flight task.
-    const auto c = queue.addJob(plan, "c", JobSource::Socket, 10);
-    EXPECT_EQ(queue.counters().cells_deduped, 2u);
-
-    const auto finished = queue.complete(*task, true, "", true);
+    const auto finished =
+        t.table.resolve(plan.cells()[0].key, true, "", true);
     ASSERT_EQ(finished.size(), 3u);
     for (const auto &job : finished) {
         EXPECT_TRUE(job.status.complete());
@@ -401,115 +422,195 @@ TEST(Queue, ConcurrentKeysDedupeToOneTask)
     }
     EXPECT_EQ(executed, 1u);
     EXPECT_EQ(cached, 2u);
+    EXPECT_EQ(t.table.counters().cells_executed, 1u);
+    EXPECT_EQ(t.table.counters().cells_pending, 0u);
 
     for (const auto id : {a, b, c})
-        EXPECT_TRUE(queue.job(id)->complete());
+        EXPECT_TRUE(t.table.job(id)->complete());
 }
 
 TEST(Queue, FailureFansOutToEveryAttachedJob)
 {
-    JobQueue queue;
+    TableFixture t;
     const auto plan = tinyPlan();
-    (void)queue.addJob(plan, "a", JobSource::Socket, 0);
-    (void)queue.addJob(plan, "b", JobSource::Spool, 0);
+    (void)t.add(plan, "a");
+    (void)t.add(plan, "b");
 
-    auto task = queue.pop();
-    ASSERT_TRUE(task.has_value());
     const auto finished =
-        queue.complete(*task, false, "cell exploded", false);
+        t.table.resolve(plan.cells()[0].key, false, "cell exploded", false);
     ASSERT_EQ(finished.size(), 2u);
     for (const auto &job : finished) {
         EXPECT_STREQ(job.status.state(), "failed");
         EXPECT_EQ(job.status.first_error, "cell exploded");
     }
-    EXPECT_EQ(queue.counters().jobs_failed, 2u);
+    EXPECT_EQ(t.table.counters().job_failures, 2u);
+    EXPECT_EQ(t.table.counters().cells_executed, 0u);
 }
 
-TEST(Queue, CloseAbandonsQueuedAndUnblocksPop)
+TEST(Queue, CloseRefusesJobsButInFlightKeysStillResolve)
 {
-    JobQueue queue;
-    (void)queue.addJob(tinyPlan(), "a", JobSource::Socket, 0);
+    TableFixture t;
+    const auto plan = tinyPlan();
+    const auto id = t.add(plan, "a");
+    t.table.close();
 
-    std::thread blocked([&] {
-        // Drain the one queued task, then block until close().
-        auto task = queue.pop();
-        ASSERT_TRUE(task.has_value());
-        (void)queue.complete(*task, true, "", true);
-        EXPECT_FALSE(queue.pop().has_value());
-    });
-    // Give the thread time to reach the blocking pop, then close.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    queue.close();
-    blocked.join();
-
-    EXPECT_TRUE(queue.closed());
-    EXPECT_THROW(
-        (void)queue.addJob(tinyPlan(), "late", JobSource::Socket, 0),
-        ServiceError);
-    EXPECT_EQ(queue.counters().queue_depth, 0u);
+    EXPECT_THROW((void)t.add(tinyPlan(two_cell_manifest), "late"),
+                 ServiceError);
+    // Waiters are released: a WAIT answers at once, unfinished.
+    EXPECT_FALSE(t.table.waitJob(id, proto::max_wait_ms)->complete());
+    // An execution already running still fans out.
+    EXPECT_EQ(t.table.resolve(plan.cells()[0].key, true, "", true).size(),
+              1u);
+    EXPECT_EQ(t.table.counters().cells_pending, 0u);
 }
 
 TEST(Queue, WaitJobWakesOnSettleTimeoutAndRelease)
 {
-    JobQueue queue;
-    const std::uint64_t id =
-        queue.addJob(tinyPlan(), "w", JobSource::Socket, 1);
-    EXPECT_FALSE(queue.waitJob(999, 1).has_value());
+    TableFixture t;
+    const auto plan = tinyPlan();
+    const std::uint64_t id = t.add(plan, "w");
+    EXPECT_FALSE(t.table.waitJob(999, 1).has_value());
     // Timeout: the unfinished snapshot.
-    EXPECT_FALSE(queue.waitJob(id, 1)->complete());
+    EXPECT_FALSE(t.table.waitJob(id, 1)->complete());
 
     std::optional<JobStatus> waited;
     std::thread waiter(
-        [&] { waited = queue.waitJob(id, proto::max_wait_ms); });
-    while (queue.counters().parked == 0)
+        [&] { waited = t.table.waitJob(id, proto::max_wait_ms); });
+    while (t.table.counters().parked == 0)
         std::this_thread::yield();
-    // The owner's bookkeeping comes between complete() and settle(),
+    // The owner's bookkeeping comes between resolve() and settle(),
     // which is what wakes the WAIT.
-    queue.settle(queue.complete(*queue.pop(), true, "", true));
+    t.table.settle(t.table.resolve(plan.cells()[0].key, true, "", true));
     waiter.join();
     ASSERT_TRUE(waited.has_value());
     EXPECT_STREQ(waited->state(), "done");
 
-    const std::uint64_t other = queue.addJob(
-        tinyPlan(two_cell_manifest), "w", JobSource::Socket, 1);
+    const std::uint64_t other = t.add(tinyPlan(two_cell_manifest), "w");
     std::thread released(
-        [&] { waited = queue.waitJob(other, proto::max_wait_ms); });
-    while (queue.counters().parked == 0)
+        [&] { waited = t.table.waitJob(other, proto::max_wait_ms); });
+    while (t.table.counters().parked == 0)
         std::this_thread::yield();
-    queue.releaseWaiters();
+    t.table.releaseWaiters();
     released.join();
     EXPECT_FALSE(waited->complete());
-    EXPECT_EQ(queue.counters().parked, 0u);
+    EXPECT_EQ(t.table.counters().parked, 0u);
 }
 
 TEST(Queue, FinishedJobHistoryIsBounded)
 {
-    // A long-running daemon must not grow job records forever: only
-    // the newest max_finished_jobs completed jobs are queryable.
-    JobQueue queue;
+    // A long-running server must not grow job records forever: only
+    // the newest max_finished_jobs finished jobs are queryable.
+    TableFixture t;
     const auto plan = tinyPlan();
     const std::size_t total = JobQueue::max_finished_jobs + 50;
     std::uint64_t first = 0, last = 0;
     for (std::size_t i = 0; i < total; ++i) {
-        last = queue.addJob(plan, "j", JobSource::Socket, 0);
+        last = t.add(plan, "j");
         if (first == 0)
             first = last;
     }
 
-    // All cells share one content key: one task, `total` attached
-    // jobs, one completion finishing all of them at once.
-    auto task = queue.pop();
-    ASSERT_TRUE(task.has_value());
-    const auto finished = queue.complete(*task, true, "", true);
+    // All cells share one content key: one pending key, `total`
+    // attached jobs, one resolution finishing all of them at once.
+    const auto finished =
+        t.table.resolve(plan.cells()[0].key, true, "", true);
     EXPECT_EQ(finished.size(), total);
 
     // The oldest 50 fell off; the newest max_finished_jobs remain.
-    EXPECT_FALSE(queue.job(first).has_value());
-    ASSERT_TRUE(queue.job(last).has_value());
-    EXPECT_TRUE(queue.job(last)->complete());
-    EXPECT_EQ(queue.jobs().size(), JobQueue::max_finished_jobs);
+    EXPECT_FALSE(t.table.job(first).has_value());
+    ASSERT_TRUE(t.table.job(last).has_value());
+    EXPECT_TRUE(t.table.job(last)->complete());
+    EXPECT_EQ(t.table.jobs().size(), JobQueue::max_finished_jobs);
     // Lifetime counters are unaffected by eviction.
-    EXPECT_EQ(queue.counters().jobs_completed, total);
+    EXPECT_EQ(t.table.counters().jobs_completed, total);
+}
+
+TEST(Queue, HitsResolveAtSubmitAndStaleMissesAreProbedAgain)
+{
+    TableFixture t;
+    const auto plan = tinyPlan();
+    const batch::CacheKey key = plan.cells()[0].key;
+
+    // A: the first submitter executes the cell.
+    std::size_t fresh = 9;
+    (void)t.add(plan, "a", &fresh);
+    EXPECT_EQ(fresh, 1u);
+
+    // B probes while A's cell runs: a miss...
+    const JobQueue::Probe stale = t.table.probe(plan);
+    EXPECT_FALSE(stale.hit[0]);
+    // ...then A's cell is stored and resolves before B registers. B's
+    // probe is stale and the key no longer pending, so the table
+    // probes it again instead of executing the cell a second time.
+    const sampling::MethodResult result;
+    t.cache.store(key, result);
+    t.table.settle(t.table.resolve(key, true, "", true));
+    fresh = 9;
+    const auto b = t.table.add(
+        plan, stale, {"b", JobSource::Socket, 0, "", 0},
+        [&](std::uint64_t,
+            const std::vector<const batch::BatchCell *> &cells) {
+            fresh = cells.size();
+        });
+    EXPECT_EQ(fresh, 0u);
+    ASSERT_EQ(b.finished.size(), 1u);
+    EXPECT_EQ(b.finished[0].cached, 1u);
+
+    // C probes after the store: a hit, done inside add().
+    const auto c = t.table.add(plan, t.table.probe(plan),
+                               {"c", JobSource::Spool, 0, "", 0}, {});
+    ASSERT_EQ(c.finished.size(), 1u);
+    EXPECT_STREQ(c.finished[0].status.state(), "done");
+
+    const ServiceCounters counters = t.table.counters();
+    EXPECT_EQ(counters.cells_total, 3u);
+    EXPECT_EQ(counters.cells_executed, 1u);
+    EXPECT_EQ(counters.cells_cached, 2u);
+    EXPECT_EQ(counters.jobs_completed, 3u);
+}
+
+TEST(Queue, RefusedAdmissionRegistersNothing)
+{
+    TableFixture t;
+    const auto plan = tinyPlan();
+    EXPECT_THROW((void)t.table.add(
+                     plan, t.table.probe(plan),
+                     {"x", JobSource::Socket, 0, "", 0},
+                     [](std::uint64_t,
+                        const std::vector<const batch::BatchCell *> &) {
+                         throw ServiceError("backlog full");
+                     }),
+                 ServiceError);
+    const ServiceCounters counters = t.table.counters();
+    EXPECT_EQ(counters.jobs_submitted, 0u);
+    EXPECT_EQ(counters.cells_pending, 0u);
+    // The next job gets the first id.
+    EXPECT_EQ(t.add(plan), 1u);
+}
+
+TEST(Queue, CounterLineRoundTripsOneKeySet)
+{
+    ServiceCounters jobs{1, 2, 3, 4, 5, 6, 7, 8, 9};
+    FleetStats fleet{10, 11, 12, 13, 14, 15, 16,
+                     17, 18, 19, 20, 21, 22, 23};
+    const std::string line = counterLine(jobs, fleet);
+    // The keys CI greps on both servers.
+    for (const char *key : {"cells_executed=5 ", "parked=9 ",
+                            "leases_granted=12 ", "stream_leases=19 "})
+        EXPECT_NE(line.find(key), std::string::npos) << key;
+
+    ServiceCounters parsed_jobs;
+    FleetStats parsed_fleet;
+    parseCounterLine(line, parsed_jobs, parsed_fleet);
+    EXPECT_EQ(counterLine(parsed_jobs, parsed_fleet), line);
+
+    // Unknown keys are skipped; malformed values are errors.
+    parseCounterLine("jobs=4 future_key=1", parsed_jobs, parsed_fleet);
+    EXPECT_EQ(parsed_jobs.jobs_submitted, 4u);
+    for (const char *bad : {"jobs=abc", "jobs=-1", "parked", "jobs=1x"})
+        EXPECT_THROW(parseCounterLine(bad, parsed_jobs, parsed_fleet),
+                     ServiceError)
+            << bad;
 }
 
 // -------------------------------------------------------------- watcher
@@ -683,7 +784,7 @@ TEST(Service, ResubmittedManifestExecutesZeroCells)
         },
         "run counters to settle");
     const ServiceStats stats = client.stats();
-    EXPECT_FALSE(stats.fleet);
+    EXPECT_EQ(stats.fleet_stats.leases_granted, 0u); // a daemon: no leases
     EXPECT_EQ(stats.cells_executed, 1u);
     EXPECT_EQ(stats.jobs_submitted, 2u);
 }
@@ -782,9 +883,9 @@ TEST(Service, SecondServerOnLiveSocketRefusesPromptly)
     EXPECT_THROW(second.run(), ServiceError);
     setLogQuiet(false);
 
-    // The incumbent is unharmed (and identifies as a plain daemon).
+    // The incumbent is unharmed (and refuses leases as a plain daemon).
     ServiceClient client(fixture.config.socket_path);
-    EXPECT_FALSE(client.status().fleet);
+    EXPECT_THROW((void)client.lease("w"), ServiceError);
 }
 
 TEST(Service, ErrorRepliesForBadRequests)
@@ -1432,7 +1533,7 @@ TEST(Queue, EvictionBoundaryIsExact)
     // (itself included) and fall off on completion number
     // max_finished_jobs + 1 — an off-by-one here silently shrinks or
     // grows the STATUS window.
-    JobQueue queue;
+    TableFixture t;
     const auto plan_a = tinyPlan();
     const auto plan_b = tinyPlan(
         "workload bzip2\n"
@@ -1443,44 +1544,38 @@ TEST(Queue, EvictionBoundaryIsExact)
         "config c llc=8MiB\n"
         "schedule s spacing=200000 regions=2\n");
 
-    const auto first = queue.addJob(plan_a, "first", JobSource::Socket, 0);
-    auto task = queue.pop();
-    ASSERT_TRUE(task.has_value());
-    ASSERT_EQ(queue.complete(*task, true, "", true).size(), 1u);
+    const auto first = t.add(plan_a, "first");
+    ASSERT_EQ(t.table.resolve(plan_a.cells()[0].key, true, "", true).size(),
+              1u);
 
     // max_finished_jobs - 1 more completions (one fan-out): total
     // finished is now exactly max_finished_jobs -> first still there.
     std::uint64_t second = 0;
     for (std::size_t i = 0; i < JobQueue::max_finished_jobs - 1; ++i) {
-        const auto id = queue.addJob(plan_b, "bulk", JobSource::Socket, 0);
+        const auto id = t.add(plan_b, "bulk");
         if (second == 0)
             second = id;
     }
-    task = queue.pop();
-    ASSERT_TRUE(task.has_value());
-    ASSERT_EQ(queue.complete(*task, true, "", true).size(),
+    ASSERT_EQ(t.table.resolve(plan_b.cells()[0].key, true, "", true).size(),
               JobQueue::max_finished_jobs - 1);
-    EXPECT_TRUE(queue.job(first).has_value())
+    EXPECT_TRUE(t.table.job(first).has_value())
         << "evicted at the boundary, one completion too early";
 
-    // One more completed job pushes the count to max_finished_jobs + 1:
+    // One more finished job pushes the count to max_finished_jobs + 1:
     // now (and only now) the oldest falls off.
-    (void)queue.addJob(plan_c, "straw", JobSource::Socket, 0);
-    task = queue.pop();
-    ASSERT_TRUE(task.has_value());
-    (void)queue.complete(*task, true, "", true);
-    EXPECT_FALSE(queue.job(first).has_value());
-    EXPECT_TRUE(queue.job(second).has_value());
-    EXPECT_EQ(queue.jobs().size(), JobQueue::max_finished_jobs);
+    (void)t.add(plan_c, "straw");
+    (void)t.table.resolve(plan_c.cells()[0].key, true, "", true);
+    EXPECT_FALSE(t.table.job(first).has_value());
+    EXPECT_TRUE(t.table.job(second).has_value());
+    EXPECT_EQ(t.table.jobs().size(), JobQueue::max_finished_jobs);
 }
 
-TEST(Queue, ConcurrentEqualPrioritySubmitsPopCompletely)
+TEST(Queue, ConcurrentSubmitsRegisterEachKeyOnce)
 {
-    // Three distinct plans race in from three threads, two of them at
-    // the same priority, while a popped task is in flight. Every task
-    // must pop exactly once, the high-priority one first and the tied
-    // pair in submission (seq/job-id) order.
-    JobQueue queue;
+    // Three plans race in from three threads while a key is pending:
+    // the two new keys each become fresh exactly once, the third
+    // submitter attaches, and every job finishes exactly once.
+    TableFixture t;
     const auto plan_hot = tinyPlan();
     const auto plan_a = tinyPlan(
         "workload bzip2\n"
@@ -1490,76 +1585,58 @@ TEST(Queue, ConcurrentEqualPrioritySubmitsPopCompletely)
         "workload bzip2\n"
         "config c llc=8MiB\n"
         "schedule s spacing=200000 regions=2\n");
+    (void)t.add(plan_hot, "hot");
 
-    // An in-flight task keeps the queue "running" while the threads
-    // attach and add.
-    (void)queue.addJob(plan_hot, "hot", JobSource::Socket, 0);
-    auto running = queue.pop();
-    ASSERT_TRUE(running.has_value());
-
-    std::vector<std::uint64_t> tie_jobs(2, 0);
-    std::uint64_t high_job = 0;
-    std::thread t1([&] {
-        tie_jobs[0] = queue.addJob(plan_a, "tie-a", JobSource::Spool, 5);
-    });
-    std::thread t2([&] {
-        tie_jobs[1] = queue.addJob(plan_b, "tie-b", JobSource::Spool, 5);
-    });
-    std::thread t3([&] {
-        // Same content as the in-flight task: attaches, enqueues
-        // nothing.
-        high_job = queue.addJob(plan_hot, "attach", JobSource::Socket, 9);
-    });
+    std::vector<std::size_t> fresh(3, 9);
+    std::vector<std::uint64_t> ids(3, 0);
+    std::thread t1([&] { ids[0] = t.add(plan_a, "tie-a", &fresh[0]); });
+    std::thread t2([&] { ids[1] = t.add(plan_b, "tie-b", &fresh[1]); });
+    std::thread t3(
+        [&] { ids[2] = t.add(plan_hot, "attach", &fresh[2]); });
     t1.join();
     t2.join();
     t3.join();
-    EXPECT_EQ(queue.counters().cells_deduped, 1u);
+    EXPECT_EQ(fresh, (std::vector<std::size_t>{1, 1, 0}));
+    EXPECT_EQ(t.table.counters().cells_deduped, 1u);
+    EXPECT_NE(ids[0], ids[1]);
 
-    const auto p1 = queue.pop();
-    const auto p2 = queue.pop();
-    ASSERT_TRUE(p1 && p2);
-    EXPECT_EQ(p1->priority, 5);
-    EXPECT_EQ(p2->priority, 5);
-    // FIFO within the tie: whichever thread won addJob's mutex got
-    // the lower job id *and* the lower seq, so pop order follows ids.
-    EXPECT_LT(p1->jobs.front(), p2->jobs.front());
-
-    (void)queue.complete(*p1, true, "", true);
-    (void)queue.complete(*p2, true, "", true);
-    const auto finished = queue.complete(*running, true, "", true);
+    EXPECT_EQ(t.table.resolve(plan_a.cells()[0].key, true, "", true).size(),
+              1u);
+    EXPECT_EQ(t.table.resolve(plan_b.cells()[0].key, true, "", true).size(),
+              1u);
+    const auto finished =
+        t.table.resolve(plan_hot.cells()[0].key, true, "", true);
     ASSERT_EQ(finished.size(), 2u); // "hot" + the attached job
-    EXPECT_EQ(queue.counters().jobs_completed, 4u);
-    EXPECT_TRUE(queue.job(high_job)->complete());
+    EXPECT_EQ(t.table.counters().jobs_completed, 4u);
+    EXPECT_TRUE(t.table.job(ids[2])->complete());
 }
 
 TEST(Queue, CloseRacingInFlightCompletionIsSafe)
 {
-    // close() abandons *queued* tasks but must let a popped (running)
-    // task drain through complete() from another thread — in any
-    // interleaving, without deadlock or lost fan-out.
+    // close() refuses new jobs but must let an in-flight key resolve
+    // from another thread — in any interleaving, without deadlock or
+    // lost fan-out.
     for (int round = 0; round < 32; ++round) {
-        JobQueue queue;
-        (void)queue.addJob(tinyPlan(), "inflight", JobSource::Socket, 0);
-        (void)queue.addJob(tinyPlan(
-                               "workload bzip2\n"
-                               "config c llc=4MiB\n"
-                               "schedule s spacing=200000 regions=2\n"),
-                           "doomed", JobSource::Socket, 0);
-        auto task = queue.pop();
-        ASSERT_TRUE(task.has_value());
+        TableFixture t;
+        const auto plan = tinyPlan();
+        (void)t.add(plan, "inflight");
+        (void)t.add(tinyPlan("workload bzip2\n"
+                             "config c llc=4MiB\n"
+                             "schedule s spacing=200000 regions=2\n"),
+                    "doomed");
 
         std::vector<FinishedJob> finished;
         std::thread completer([&] {
-            finished = queue.complete(*task, true, "", true);
+            finished = t.table.resolve(plan.cells()[0].key, true, "", true);
         });
-        std::thread closer([&] { queue.close(); });
+        std::thread closer([&] { t.table.close(); });
         completer.join();
         closer.join();
 
         ASSERT_EQ(finished.size(), 1u);
         EXPECT_TRUE(finished[0].status.complete());
-        EXPECT_EQ(queue.counters().queue_depth, 0u);
-        EXPECT_FALSE(queue.pop().has_value());
+        EXPECT_EQ(t.table.counters().cells_pending, 1u); // "doomed"
+        EXPECT_THROW((void)t.add(plan, "late"), ServiceError);
     }
 }
 
@@ -1743,6 +1820,75 @@ TEST(Coordinator, WorkerKilledMidPlanDoesNotChangeResults)
         EXPECT_EQ(client.result(plan.cells()[i].key), direct[i])
             << "cell " << i;
     EXPECT_EQ(fixture.coordinator->counters().jobs_completed, 1u);
+}
+
+TEST(Coordinator, UnitLongerThanItsLeaseIsRenewedNotRerun)
+{
+    // One two-cell unit that runs for several 300 ms lease periods. The
+    // worker renews while it runs, so the other worker's parked LEASE
+    // never sees an expiry to re-lease: each cell runs exactly once.
+    constexpr const char *long_manifest =
+        "workload bzip2\n"
+        "config c1 llc=2MiB\n"
+        "config c2 llc=8MiB\n"
+        "schedule s spacing=4000000 regions=4\n"
+        "methods delorean\n";
+    CoordinatorFixture fixture(/*lease_ms=*/300);
+    WorkerLoop alpha(fixture.workerConfig("alpha"));
+    WorkerLoop beta(fixture.workerConfig("beta"));
+    alpha.start();
+    beta.start();
+
+    ServiceClient client(fixture.config.socket_path);
+    const auto info = client.submit(long_manifest);
+    ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+    EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
+    alpha.stop();
+    beta.stop();
+
+    const auto counters = fixture.coordinator->counters();
+    EXPECT_EQ(counters.leases_granted, 1u);
+    EXPECT_GE(counters.leases_renewed, 1u);
+    EXPECT_EQ(counters.leases_expired, 0u);
+    EXPECT_EQ(counters.results_discarded, 0u);
+    EXPECT_EQ(counters.results_stored, 2u);
+    EXPECT_EQ(alpha.counters().cells_executed + beta.counters().cells_executed,
+              2u);
+}
+
+TEST(Coordinator, FileReRecordedBeforeTheLeaseFailsTheJob)
+{
+    // The re-record guard on the lease path, deterministically: the
+    // coordinator keys the plan at SUBMIT, the file is re-recorded,
+    // and only then does a worker take the lease.
+    TempPath trace("rerecord_trace");
+    (void)recordTraceBytes(trace.path, 400000);
+    const std::string manifest =
+        "workload file:" + trace.path + "\n" + stream_directives;
+    const batch::CacheKey stale = tinyPlan(manifest.c_str()).cells()[0].key;
+
+    CoordinatorFixture fixture;
+    ServiceClient client(fixture.config.socket_path);
+    const auto info = client.submit(manifest);
+    {
+        auto source = workload::makeTrace("spec:mcf");
+        workload::recordTrace(*source, 400000, trace.path);
+    }
+    WorkerLoop worker(fixture.workerConfig("w"));
+    worker.start();
+    ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+    worker.stop();
+
+    const JobStatus status = client.jobStatus(info.job);
+    EXPECT_STREQ(status.state(), "failed");
+    EXPECT_NE(status.first_error.find("key mismatch after re-expansion"),
+              std::string::npos)
+        << status.first_error;
+    // Nothing was published under the stale key, on either side.
+    EXPECT_FALSE(fixture.coordinator->cache().contains(stale));
+    EXPECT_FALSE(batch::ResultCache(fixture.root.path + "/wcache_w")
+                     .contains(stale));
+    EXPECT_EQ(worker.counters().cells_executed, 0u);
 }
 
 // In-process fault injection: drive Coordinator::handle() directly so
@@ -2060,19 +2206,19 @@ TEST(Service, TypedStatusAndStatsMatchDaemonCounters)
     ASSERT_TRUE(client.waitForJob(info.job, 120.0));
 
     const ServiceStatus status = client.status();
-    EXPECT_FALSE(status.fleet);
+    EXPECT_EQ(status.fleet_stats.leases_granted, 0u); // a daemon
     EXPECT_EQ(status.jobs_submitted, 1u);
     EXPECT_EQ(status.jobs_completed, 1u);
     EXPECT_EQ(status.job_failures, 0u);
     EXPECT_EQ(status.cells_executed, 1u);
-    EXPECT_EQ(status.queue_depth, 0u);
+    EXPECT_EQ(status.cells_pending, 0u);
     ASSERT_EQ(status.jobs.size(), 1u);
     EXPECT_EQ(status.jobs[0].id, info.job);
     EXPECT_TRUE(status.jobs[0].complete());
     EXPECT_STREQ(status.jobs[0].state(), "done");
 
     const ServiceStats stats = client.stats();
-    EXPECT_FALSE(stats.fleet);
+    EXPECT_EQ(stats.fleet_stats.leases_granted, 0u);
     EXPECT_EQ(stats.last_run_executed, 1u);
     EXPECT_EQ(stats.last_run_cached, 0u);
     EXPECT_EQ(stats.total_executed, 1u);
@@ -2084,6 +2230,89 @@ TEST(Service, TypedStatusAndStatsMatchDaemonCounters)
     EXPECT_NE(client.statusText().find("jobs=1"), std::string::npos);
     EXPECT_NE(client.statsText().find("total_executed=1"),
               std::string::npos);
+}
+
+TEST(Service, RunCountersReachStatsTsvByShutdown)
+{
+    ServiceFixture fixture;
+    const std::string dir = fixture.config.cache_dir;
+    // A concurrent batch_run's increments, in the file the daemon
+    // flushes into: they must survive its merges.
+    batch::ResultCache(dir).recordRun(5, 7);
+
+    ServiceClient client(fixture.config.socket_path);
+    const auto first = client.submit(tiny_manifest);
+    ASSERT_TRUE(client.waitForJob(first.job, 120.0));
+    const auto second = client.submit(tiny_manifest);
+    ASSERT_TRUE(client.waitForJob(second.job, 120.0));
+    // STATS answers from memory, seeded when the daemon started.
+    const ServiceStats stats = client.stats();
+    EXPECT_EQ(stats.total_executed, 1u);
+    EXPECT_EQ(stats.total_cached, 1u);
+
+    fixture.service->requestShutdown();
+    fixture.runner.join();
+    const auto file = batch::ResultCache(dir).stats();
+    EXPECT_EQ(file.last_run_executed, 0u);
+    EXPECT_EQ(file.last_run_cached, 1u);
+    EXPECT_EQ(file.total_executed, 5u + 1u);
+    EXPECT_EQ(file.total_cached, 7u + 1u);
+}
+
+TEST(Service, BothServersAnswerOneStatusAndStatsGrammar)
+{
+    // The same plan, twice, through a daemon and through a coordinator
+    // with one worker: both replies parse into the same structs with
+    // the same job and cell counters and the same job lines.
+    ServiceFixture daemon;
+    CoordinatorFixture fleet(/*lease_ms=*/120000);
+    WorkerLoop worker(fleet.workerConfig("w"));
+    worker.start();
+    std::vector<ServiceStatus> statuses;
+    std::vector<ServiceStats> stats;
+    for (const std::string &socket :
+         {daemon.config.socket_path, fleet.config.socket_path}) {
+        ServiceClient client(socket);
+        for (int round = 0; round < 2; ++round) {
+            const auto info = client.submit(two_cell_manifest);
+            ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+        }
+        statuses.push_back(client.status());
+        stats.push_back(client.stats());
+    }
+
+    const auto same = [](const ServiceCounters &a,
+                         const ServiceCounters &b) {
+        EXPECT_EQ(a.jobs_submitted, b.jobs_submitted);
+        EXPECT_EQ(a.jobs_completed, b.jobs_completed);
+        EXPECT_EQ(a.job_failures, b.job_failures);
+        EXPECT_EQ(a.cells_total, b.cells_total);
+        EXPECT_EQ(a.cells_executed, b.cells_executed);
+        EXPECT_EQ(a.cells_cached, b.cells_cached);
+        EXPECT_EQ(a.cells_deduped, b.cells_deduped);
+        EXPECT_EQ(a.cells_pending, b.cells_pending);
+    };
+    same(statuses[0], statuses[1]);
+    same(stats[0], stats[1]);
+    EXPECT_EQ(statuses[0].jobs_submitted, 2u);
+    EXPECT_EQ(statuses[0].cells_executed, 2u);
+    EXPECT_EQ(statuses[0].cells_cached, 2u);
+    ASSERT_EQ(statuses[0].jobs.size(), statuses[1].jobs.size());
+    for (std::size_t i = 0; i < statuses[0].jobs.size(); ++i)
+        EXPECT_EQ(jobStatusLine(statuses[0].jobs[i]),
+                  jobStatusLine(statuses[1].jobs[i]));
+    for (const ServiceStats &s : stats) {
+        EXPECT_EQ(s.last_run_executed, 0u);
+        EXPECT_EQ(s.last_run_cached, 2u);
+        EXPECT_EQ(s.total_executed, 2u);
+        EXPECT_EQ(s.total_cached, 2u);
+    }
+    // Lease counters read 0 on the daemon and count on the fleet,
+    // whose idle worker is parked in LEASE.
+    EXPECT_EQ(stats[0].fleet_stats.leases_granted, 0u);
+    EXPECT_GE(stats[1].fleet_stats.leases_granted, 1u);
+    EXPECT_EQ(stats[0].parked, 0u);
+    worker.stop();
 }
 
 // ------------------------------------------------- stream migration
@@ -2103,9 +2332,10 @@ TEST(Coordinator, StreamMigratesAcrossWorkerKillBitIdentically)
     // sequence is fully deterministic.
     CoordinatorFixture fixture(/*lease_ms=*/120000);
     ServiceClient client(fixture.config.socket_path);
-    EXPECT_TRUE(client.status().fleet);
+    EXPECT_EQ(client.status().fleet_stats.streams, 0u);
 
     const std::uint64_t id = client.streamOpen(stream_directives);
+    EXPECT_EQ(client.status().fleet_stats.streams, 1u);
     const std::size_t records_at = bytes.size() - 400000ull * 32;
     const std::size_t w1_end = records_at + 200000ull * 32;
     client.streamAppend(id, bytes.substr(0, w1_end));
@@ -2152,7 +2382,6 @@ TEST(Coordinator, StreamMigratesAcrossWorkerKillBitIdentically)
 
     // The fleet STATS surface the stream counters in typed form.
     const ServiceStats stats = client.stats();
-    EXPECT_TRUE(stats.fleet);
     EXPECT_EQ(stats.fleet_stats.streams_finished, 1u);
     EXPECT_EQ(stats.fleet_stats.stream_windows, 2u);
     EXPECT_GE(stats.fleet_stats.stream_handoffs, 2u);
