@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "base/logging.hh"
@@ -119,6 +120,31 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
     }
 }
 
+void
+RerecordGuard::check(const BatchCell &cell)
+{
+    if (!specIsFileBacked(normalizeSpec(cell.workload)))
+        return;
+    std::optional<CacheKey> now;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = identities_.find(cell.workload);
+        if (it != identities_.end())
+            now = it->second;
+    }
+    if (!now) {
+        // Digest outside the lock: a big trace must not serialize
+        // every caller behind one file read.
+        const CacheKey id = workloadIdentity(cell.workload);
+        std::lock_guard<std::mutex> lock(mutex_);
+        now = identities_.try_emplace(cell.workload, id).first->second;
+    }
+    if (*now != cell.workload_identity)
+        throw BatchError(cell.workload +
+                         ": file changed after the plan was keyed; "
+                         "result discarded — run the plan again");
+}
+
 sampling::MethodResult
 BatchRunner::runCell(const BatchCell &cell)
 {
@@ -167,25 +193,6 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
     if (opt.use_cache)
         cache = std::make_unique<ResultCache>(opt.cache_dir);
 
-    // Execution-time workload identities, memoized per run: the
-    // mid-run re-record check below re-digests each file-backed
-    // workload once, not once per cell (a multi-config plan over one
-    // big trace would otherwise re-read it per executed cell; the
-    // residual TOCTOU window is inherent — the check is best-effort).
-    std::mutex identity_mutex;
-    std::unordered_map<std::string, CacheKey> identities;
-    const auto identityNow = [&](const std::string &spec) {
-        {
-            std::lock_guard<std::mutex> lock(identity_mutex);
-            const auto it = identities.find(spec);
-            if (it != identities.end())
-                return it->second;
-        }
-        const CacheKey id = workloadIdentity(spec);
-        std::lock_guard<std::mutex> lock(identity_mutex);
-        return identities.try_emplace(spec, id).first->second;
-    };
-
     std::vector<const BatchCell *> mine;
     for (const auto &cell : plan.cells())
         if (cell.index % opt.shard_count == opt.shard_index)
@@ -207,20 +214,14 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
     const std::vector<std::vector<std::size_t>> units =
         planWorkUnits(mine);
 
-    // Stores a freshly computed result, guarding against a file-backed
-    // workload re-recorded between plan keying and this execution: the
-    // store would file the *new* content's result under the *old*
-    // content's key — poisoning a future run whose file matches the
-    // old bytes again. Refuse loudly instead.
+    // Stores a freshly computed result unless its file-backed workload
+    // was re-recorded since the plan was keyed (one guard per run).
+    RerecordGuard rerecorded;
     const auto storeResult = [&](const BatchCell &cell,
                                  const sampling::MethodResult &result) {
         if (!cache)
             return;
-        if (specIsFileBacked(normalizeSpec(cell.workload)) &&
-            identityNow(cell.workload) != cell.workload_identity)
-            throw BatchError(cell.workload +
-                             ": file changed during the batch run; "
-                             "result discarded — rerun the plan");
+        rerecorded.check(cell);
         cache->store(cell.key, result);
     };
 

@@ -27,6 +27,10 @@
 #ifndef DELOREAN_BATCH_RUNNER_HH
 #define DELOREAN_BATCH_RUNNER_HH
 
+#include <mutex>
+#include <string>
+#include <unordered_map>
+
 #include "batch/plan.hh"
 #include "batch/result_cache.hh"
 
@@ -80,6 +84,29 @@ struct BatchReport
  */
 std::vector<std::vector<std::size_t>>
 planWorkUnits(const std::vector<const BatchCell *> &cells);
+
+/**
+ * The re-record guard of every executor (BatchRunner::run, the batch
+ * daemon's drain loops, fleet workers). A file-backed workload
+ * re-recorded after its plan was keyed would file the new content's
+ * result under the old content's key, poisoning a future run whose
+ * file matches the old bytes again; check() refuses such a cell before
+ * its result is stored. Each file is digested once per guard — a
+ * multi-config plan over one big trace reads it once — so a guard's
+ * lifetime (one run, job or unit) is its check window. The residual
+ * TOCTOU window is inherent: the check is best-effort. Thread-safe.
+ */
+class RerecordGuard
+{
+  public:
+    /** Throws BatchError if @p cell's workload file changed since its
+     *  plan keyed it; a no-op for workloads not backed by a file. */
+    void check(const BatchCell &cell);
+
+  private:
+    std::mutex mutex_;
+    std::unordered_map<std::string, CacheKey> identities_; //!< by spec
+};
 
 class BatchRunner
 {

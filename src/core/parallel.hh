@@ -31,6 +31,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -81,8 +82,13 @@ namespace detail
 /**
  * Dynamic (atomic-counter) index distribution over [0, n): each worker
  * claims the next unclaimed index until the range is exhausted. The
- * first exception stops further claims and is rethrown to the caller
- * once every worker has exited (no worker can touch freed captures).
+ * caller returns once every index has finished, not once every queued
+ * worker body has run: on a pool shared by several callers, a body
+ * that starts after its range is exhausted (its worker was busy with
+ * another caller's range) finds nothing to claim and exits touching
+ * only the shared state, never @p fn. The first exception stops
+ * further claims and is rethrown to the caller once every claimed
+ * index has finished (no running fn can touch freed captures).
  */
 template <typename Fn>
 void
@@ -91,49 +97,54 @@ runIndexed(ThreadPool &pool, std::size_t n, unsigned workers, Fn &fn)
     if (n == 0)
         return;
 
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr error;
-    std::mutex error_mutex;
+    struct State
+    {
+        std::atomic<std::size_t> next{0};
+        std::mutex mutex;
+        std::condition_variable all_done;
+        std::size_t finished = 0; //!< indices run or skipped (guarded)
+        std::exception_ptr error; //!< the first one (guarded)
+    };
+    const auto state = std::make_shared<State>();
 
-    const unsigned launched =
-        unsigned(std::min<std::size_t>(std::max(workers, 1u), n));
-    std::mutex done_mutex;
-    std::condition_variable all_done;
-    unsigned running = launched; // guarded by done_mutex
-
-    // The exit decrement happens under done_mutex: the caller cannot
-    // observe running == 0 and destroy these stack-locals while a
-    // worker still holds (or is about to take) the lock to notify.
-    auto body = [&] {
+    // The finished count moves under the mutex: the caller cannot see
+    // finished == n and release fn's captures while an index is still
+    // running.
+    auto body = [state, n, &fn] {
         for (;;) {
             const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
+                state->next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
-                break;
+                return;
+            std::exception_ptr error;
+            std::size_t skipped = 0;
             try {
                 fn(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                next.store(n, std::memory_order_relaxed);
+                error = std::current_exception();
+                // Stop further claims; the unclaimed rest is finished.
+                const std::size_t unclaimed = state->next.exchange(n);
+                skipped = unclaimed < n ? n - unclaimed : 0;
             }
+            std::lock_guard<std::mutex> lock(state->mutex);
+            if (error && !state->error)
+                state->error = error;
+            state->finished += 1 + skipped;
+            if (state->finished == n)
+                state->all_done.notify_all();
         }
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (--running == 0)
-            all_done.notify_all();
     };
 
+    const unsigned launched =
+        unsigned(std::min<std::size_t>(std::max(workers, 1u), n));
     for (unsigned w = 1; w < launched; ++w)
         pool.submit(body);
     body(); // the calling thread participates
 
-    std::unique_lock<std::mutex> lock(done_mutex);
-    all_done.wait(lock, [&] { return running == 0; });
-    lock.unlock();
-
-    if (error)
-        std::rethrow_exception(error);
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->all_done.wait(lock, [&] { return state->finished == n; });
+    if (state->error)
+        std::rethrow_exception(state->error);
 }
 
 } // namespace detail

@@ -74,10 +74,12 @@ Coordinator::run()
                                 return handle(request, client);
                             });
         server.start();
-        verboseLog(config_.verbose,
-                   "[coordinator] listening on %s (cache %s, lease %u ms)\n",
-                   config_.socket_path.c_str(), cache_.dir().c_str(),
-                   config_.lease_ms);
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] listening on %s (cache %s, "
+                         "lease %u ms)\n",
+                         config_.socket_path.c_str(),
+                         cache_.dir().c_str(), config_.lease_ms);
         std::unique_lock<std::mutex> lock(mutex_);
         done_cv_.wait(lock, [&] { return shutdown_; });
         // The lock drops first; then ~SocketServer stops accepting
@@ -225,10 +227,12 @@ Coordinator::handleSubmit(const std::string &body,
         return protocol::Reply::error(e.what());
     }
     ++jobs_by_client_[client];
-    verboseLog(config_.verbose,
-               "[coordinator] submit -> job %llu (%zu cells, %zu units)\n",
-               (unsigned long long)added.id, submit.plan.cells().size(),
-               units);
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] submit -> job %llu (%zu cells, "
+                     "%zu units)\n",
+                     (unsigned long long)added.id,
+                     submit.plan.cells().size(), units);
     finishJobsLocked(added.finished);
     return JobQueue::submitted(added.id, submit.plan.cells().size());
 }
@@ -300,12 +304,14 @@ Coordinator::grantUnitLocked(const std::string &worker)
         for (std::size_t i = 0; i < lease.unit.keys.size(); ++i)
             os << (i ? "," : "") << lease.unit.keys[i].hex();
         os << "\n" << *lease.unit.manifest;
-        verboseLog(config_.verbose,
-                   "[coordinator] lease %llu -> %s (job %llu, %zu cells)\n",
-                   (unsigned long long)lease.id,
-                   worker.empty() ? "worker" : worker.c_str(),
-                   (unsigned long long)lease.unit.job,
-                   lease.unit.indices.size());
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] lease %llu -> %s (job %llu, "
+                         "%zu cells)\n",
+                         (unsigned long long)lease.id,
+                         worker.empty() ? "worker" : worker.c_str(),
+                         (unsigned long long)lease.unit.job,
+                         lease.unit.indices.size());
         const std::uint64_t lease_id = lease.id;
         leases_.emplace(lease_id, std::move(lease));
         return protocol::Reply::success(os.str());
@@ -420,11 +426,13 @@ Coordinator::handleComplete(const std::string &body)
             fleet_.results_discarded += lease.unit.keys.size();
         }
     }
-    verboseLog(config_.verbose,
-               "[coordinator] complete lease %llu: %s stored=%llu "
-               "discarded=%llu\n",
-               (unsigned long long)id, status->c_str(),
-               (unsigned long long)stored, (unsigned long long)discarded);
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] complete lease %llu: %s "
+                     "stored=%llu discarded=%llu\n",
+                     (unsigned long long)id, status->c_str(),
+                     (unsigned long long)stored,
+                     (unsigned long long)discarded);
     return protocol::Reply::success(
         "stored=" + std::to_string(stored) +
         " discarded=" + std::to_string(discarded) + "\n");
@@ -443,9 +451,11 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
         Lease &lease = it->second;
         lease.expired = true;
         ++fleet_.leases_expired;
-        verboseLog(config_.verbose,
-                   "[coordinator] lease %llu expired; re-queueing\n",
-                   (unsigned long long)id);
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] lease %llu expired; "
+                         "re-queueing\n",
+                         (unsigned long long)id);
 
         if (lease.kind == LeaseKind::Stream) {
             // The stream becomes leasable again from its committed
@@ -509,12 +519,15 @@ Coordinator::finishJobsLocked(const std::vector<FinishedJob> &finished)
         if (ct != jobs_by_client_.end() && ct->second > 0 &&
             --ct->second == 0)
             jobs_by_client_.erase(ct);
-        verboseLog(config_.verbose,
-                   "[coordinator] job %llu %s: executed=%llu cached=%llu "
-                   "failed=%zu\n",
-                   (unsigned long long)job.status.id, job.status.state(),
-                   (unsigned long long)job.executed,
-                   (unsigned long long)job.cached, job.status.failed);
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] job %llu %s: executed=%llu "
+                         "cached=%llu failed=%zu\n",
+                         (unsigned long long)job.status.id,
+                         job.status.state(),
+                         (unsigned long long)job.executed,
+                         (unsigned long long)job.cached,
+                         job.status.failed);
     }
     jobs_.settle(finished);
 }
@@ -580,8 +593,9 @@ Coordinator::handleStreamOpen(const std::string &body)
         stream.config.schedule.totalInstructions());
     ++fleet_.streams;
     streams_.emplace(id, std::move(stream));
-    verboseLog(config_.verbose, "[coordinator] stream %llu opened\n",
-               (unsigned long long)id);
+    if (config_.verbose)
+        std::fprintf(stderr, "[coordinator] stream %llu opened\n",
+                     (unsigned long long)id);
     return protocol::Reply::success("stream=" + std::to_string(id) +
                                     "\n");
 }
@@ -711,9 +725,12 @@ Coordinator::handleStreamClose(const std::string &body)
     }
     cache_.store(key, stream.result);
     removeStreamArtifacts(stream);
-    verboseLog(config_.verbose,
-               "[coordinator] stream %llu closed -> key %s (%u windows)\n",
-               (unsigned long long)id, key.hex().c_str(), stream.windows);
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] stream %llu closed -> key %s "
+                     "(%u windows)\n",
+                     (unsigned long long)id, key.hex().c_str(),
+                     stream.windows);
     return protocol::Reply::success(
         "key=" + key.hex() +
         " windows=" + std::to_string(stream.windows) + "\n");
@@ -771,13 +788,14 @@ Coordinator::handleStreamLease(const std::string &body)
            << " trace=" << stream.spool->path() << " prefix="
            << (stream.committed > 0 ? stream.prefix_path : "-") << "\n"
            << stream.directives;
-        verboseLog(config_.verbose,
-                   "[coordinator] stream lease %llu -> %s (stream %llu, "
-                   "windows [%u, %u)%s)\n",
-                   (unsigned long long)lease.id,
-                   worker.empty() ? "worker" : worker.c_str(),
-                   (unsigned long long)sid, lease.from, lease.to,
-                   finish ? ", finish" : "");
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] stream lease %llu -> %s "
+                         "(stream %llu, windows [%u, %u)%s)\n",
+                         (unsigned long long)lease.id,
+                         worker.empty() ? "worker" : worker.c_str(),
+                         (unsigned long long)sid, lease.from, lease.to,
+                         finish ? ", finish" : "");
         const std::uint64_t lease_id = lease.id;
         leases_.emplace(lease_id, std::move(lease));
         return protocol::Reply::success(os.str());
@@ -907,9 +925,12 @@ Coordinator::handleStreamHandoff(const std::string &body)
         stream.mrc = mrc;
         ++fleet_.streams_finished;
         done_cv_.notify_all();
-        verboseLog(config_.verbose,
-                   "[coordinator] stream %llu finished by lease %llu\n",
-                   (unsigned long long)lease.stream, (unsigned long long)id);
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] stream %llu finished by "
+                         "lease %llu\n",
+                         (unsigned long long)lease.stream,
+                         (unsigned long long)id);
         return ack(1, 0);
     }
 
@@ -952,11 +973,13 @@ Coordinator::handleStreamHandoff(const std::string &body)
     stream.ci_error = ci_error;
     stream.mpki = mpki;
     stream.mrc = mrc;
-    verboseLog(config_.verbose,
-               "[coordinator] stream %llu prefix -> %u windows (lease "
-               "%llu%s)\n",
-               (unsigned long long)lease.stream, windows,
-               (unsigned long long)id, lease.expired ? ", zombie won" : "");
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] stream %llu prefix -> %u windows "
+                     "(lease %llu%s)\n",
+                     (unsigned long long)lease.stream, windows,
+                     (unsigned long long)id,
+                     lease.expired ? ", zombie won" : "");
     return ack(1, 0);
 }
 

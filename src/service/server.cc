@@ -8,8 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdarg>
-#include <cstdio>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -75,17 +73,6 @@ connectToServer(const std::string &socket_path)
     }
     setIoTimeouts(fd);
     return fd;
-}
-
-void
-verboseLog(bool on, const char *format, ...)
-{
-    if (!on)
-        return;
-    std::va_list args;
-    va_start(args, format);
-    std::vfprintf(stderr, format, args);
-    va_end(args);
 }
 
 SocketServer::SocketServer(std::string socket_path, Handler handler)

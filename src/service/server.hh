@@ -125,11 +125,6 @@ class SocketServer
  */
 int connectToServer(const std::string &socket_path);
 
-/** Print one progress line (printf @p format) to stderr when @p on:
- *  the --verbose log of servers and workers. */
-[[gnu::format(printf, 2, 3)]] void verboseLog(bool on, const char *format,
-                                              ...);
-
 } // namespace delorean::service
 
 #endif // DELOREAN_SERVICE_SERVER_HH

@@ -1,6 +1,7 @@
 #include "service/service.hh"
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -76,12 +77,14 @@ BatchService::run()
                                 pickup.plan, jobs_.probe(pickup.plan),
                                 {pickup.name, JobSource::Spool,
                                  spool_priority, pickup.path, 0});
-                            verboseLog(config_.verbose,
-                                       "[service] spool pickup %s -> job "
-                                       "%llu (%zu cells)\n",
-                                       pickup.name.c_str(),
-                                       (unsigned long long)id,
-                                       pickup.plan.cells().size());
+                            if (config_.verbose)
+                                std::fprintf(
+                                    stderr,
+                                    "[service] spool pickup %s -> job "
+                                    "%llu (%zu cells)\n",
+                                    pickup.name.c_str(),
+                                    (unsigned long long)id,
+                                    pickup.plan.cells().size());
                         } catch (const ServiceError &) {
                             break; // closed under us: shutting down
                         }
@@ -106,12 +109,14 @@ BatchService::run()
                                     return handle(request);
                                 });
             server.start();
-            verboseLog(config_.verbose,
-                       "[service] listening on %s (cache %s, %u "
-                       "workers%s%s)\n",
-                       config_.socket_path.c_str(), cache_.dir().c_str(),
-                       pool.size(), watcher_ ? ", spool " : "",
-                       watcher_ ? watcher_->dir().c_str() : "");
+            if (config_.verbose)
+                std::fprintf(stderr,
+                             "[service] listening on %s (cache %s, %u "
+                             "workers%s%s)\n",
+                             config_.socket_path.c_str(),
+                             cache_.dir().c_str(), pool.size(),
+                             watcher_ ? ", spool " : "",
+                             watcher_ ? watcher_->dir().c_str() : "");
 
             std::unique_lock<std::mutex> lock(shutdown_mutex_);
             shutdown_cv_.wait(lock, [&] { return shutdown_; });
@@ -153,13 +158,16 @@ BatchService::addJob(const batch::BatchPlan &plan,
 {
     const auto added = jobs_.add(
         plan, probe, origin,
-        [&](std::uint64_t id,
+        [&](std::uint64_t,
             const std::vector<const batch::BatchCell *> &fresh) {
             if (fresh.empty())
                 return;
+            // One re-record guard per job: each file is digested once
+            // however many of the job's cells run.
+            const auto guard = std::make_shared<batch::RerecordGuard>();
             std::lock_guard<std::mutex> lock(heap_mutex_);
             for (const batch::BatchCell *cell : fresh) {
-                heap_.push_back({*cell, id, origin.priority, next_seq_++});
+                heap_.push_back({*cell, guard, origin.priority, next_seq_++});
                 std::push_heap(heap_.begin(), heap_.end(),
                                heapBelow<Task>);
             }
@@ -190,21 +198,13 @@ BatchService::drainLoop()
         bool ok = true;
         std::string error;
         try {
-            verboseLog(config_.verbose, "[service] run %s %s (%s/%s)\n",
-                       cell.workload.c_str(), cell.method.c_str(),
-                       cell.config_name.c_str(), cell.schedule_name.c_str());
+            if (config_.verbose)
+                std::fprintf(stderr, "[service] run %s %s (%s/%s)\n",
+                             cell.workload.c_str(), cell.method.c_str(),
+                             cell.config_name.c_str(),
+                             cell.schedule_name.c_str());
             const auto result = batch::BatchRunner::runCell(cell);
-            // Same mid-run re-record guard as BatchRunner::run: a
-            // file workload whose content changed between keying and
-            // execution must not publish under the stale key.
-            if (batch::specIsFileBacked(
-                    batch::normalizeSpec(cell.workload)) &&
-                workloadIdentityFor(task.job, cell.workload) !=
-                    cell.workload_identity)
-                throw batch::BatchError(
-                    cell.workload +
-                    ": file changed while the job was queued; "
-                    "result discarded — resubmit the plan");
+            task.rerecorded->check(cell);
             cache_.store(cell.key, result);
         } catch (const std::exception &e) {
             ok = false;
@@ -216,41 +216,19 @@ BatchService::drainLoop()
     }
 }
 
-batch::CacheKey
-BatchService::workloadIdentityFor(std::uint64_t job,
-                                  const std::string &spec)
-{
-    {
-        std::lock_guard<std::mutex> lock(identity_mutex_);
-        const auto jt = identities_.find(job);
-        if (jt != identities_.end()) {
-            const auto it = jt->second.find(spec);
-            if (it != jt->second.end())
-                return it->second;
-        }
-    }
-    // Digest outside the lock — big traces must not serialize every
-    // worker behind one file read.
-    const batch::CacheKey id = batch::workloadIdentity(spec);
-    std::lock_guard<std::mutex> lock(identity_mutex_);
-    return identities_[job].try_emplace(spec, id).first->second;
-}
-
 void
 BatchService::finishJobs(const std::vector<FinishedJob> &finished)
 {
     for (const auto &job : finished) {
-        {
-            // The job's workload-identity memo dies with it.
-            std::lock_guard<std::mutex> lock(identity_mutex_);
-            identities_.erase(job.status.id);
-        }
-        verboseLog(config_.verbose,
-                   "[service] job %llu %s: executed=%llu cached=%llu "
-                   "failed=%zu\n",
-                   (unsigned long long)job.status.id, job.status.state(),
-                   (unsigned long long)job.executed,
-                   (unsigned long long)job.cached, job.status.failed);
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[service] job %llu %s: executed=%llu "
+                         "cached=%llu failed=%zu\n",
+                         (unsigned long long)job.status.id,
+                         job.status.state(),
+                         (unsigned long long)job.executed,
+                         (unsigned long long)job.cached,
+                         job.status.failed);
 
         if (job.spool_path.empty())
             continue;
@@ -302,8 +280,9 @@ BatchService::handleSubmit(const std::string &body)
     const std::uint64_t id =
         addJob(submit.plan, submit.probe,
                {"socket", JobSource::Socket, submit.priority, "", 0});
-    verboseLog(config_.verbose, "[service] submit -> job %llu (%zu cells)\n",
-               (unsigned long long)id, submit.plan.cells().size());
+    if (config_.verbose)
+        std::fprintf(stderr, "[service] submit -> job %llu (%zu cells)\n",
+                     (unsigned long long)id, submit.plan.cells().size());
     return JobQueue::submitted(id, submit.plan.cells().size());
 }
 
@@ -379,9 +358,11 @@ BatchService::handleStreamOpen(const std::string &body)
         tailers_.emplace_back(
             [this, id, tail_path] { tailLoop(id, tail_path); });
     }
-    verboseLog(config_.verbose, "[service] stream %llu opened%s%s\n",
-               (unsigned long long)id, tail_path.empty() ? "" : ", tailing ",
-               tail_path.c_str());
+    if (config_.verbose)
+        std::fprintf(stderr, "[service] stream %llu opened%s%s\n",
+                     (unsigned long long)id,
+                     tail_path.empty() ? "" : ", tailing ",
+                     tail_path.c_str());
     return protocol::Reply::success("stream=" + std::to_string(id) +
                                     "\n");
 }
@@ -480,8 +461,9 @@ BatchService::tailLoop(std::uint64_t id, const std::string &path)
                 appendToStream(id, bytes);
             } catch (const ServiceError &e) {
                 // Stream discarded (poisoned bytes) or already gone.
-                verboseLog(config_.verbose, "[service] tail of %s: %s\n",
-                           path.c_str(), e.what());
+                if (config_.verbose)
+                    std::fprintf(stderr, "[service] tail of %s: %s\n",
+                                 path.c_str(), e.what());
                 return;
             }
             offset = target;
@@ -521,9 +503,12 @@ BatchService::handleStreamClose(const std::string &body)
     cache_.store(info.key, info.result);
     streams_closed_.fetch_add(1);
     eraseStream(id);
-    verboseLog(config_.verbose,
-               "[service] stream %llu closed -> key %s (%u windows)\n",
-               (unsigned long long)id, info.key.hex().c_str(), info.windows);
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[service] stream %llu closed -> key %s "
+                     "(%u windows)\n",
+                     (unsigned long long)id, info.key.hex().c_str(),
+                     info.windows);
     return protocol::Reply::success(
         "key=" + info.key.hex() +
         " windows=" + std::to_string(info.windows) + "\n");

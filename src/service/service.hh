@@ -42,10 +42,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "batch/result_cache.hh"
+#include "batch/runner.hh"
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/stream.hh"
@@ -173,25 +173,16 @@ class BatchService
      *  closes. */
     void drainLoop();
 
-    /**
-     * Execution-time identity of a file-backed workload, memoized per
-     * owning job — the same once-per-plan cost BatchRunner::run pays
-     * for its mid-run re-record guard, instead of re-digesting a big
-     * trace for every executed cell of a multi-config job. Entries
-     * die with the job, so the daemon's guard window stays job-sized.
-     */
-    batch::CacheKey workloadIdentityFor(std::uint64_t job,
-                                        const std::string &spec);
-
-    /** Act on jobs that just finished (spool moves, identity memo),
-     *  then settle them so parked WAITs answer. */
+    /** Act on jobs that just finished (spool moves), then settle
+     *  them so parked WAITs answer. */
     void finishJobs(const std::vector<FinishedJob> &finished);
 
     /** One fresh cell awaiting a drain loop. */
     struct Task
     {
         batch::BatchCell cell;
-        std::uint64_t job = 0; //!< the owning (first-submitter) job
+        /** The owning job's guard, shared by its tasks. */
+        std::shared_ptr<batch::RerecordGuard> rerecorded;
         int priority = 0;
         std::uint64_t seq = 0; //!< FIFO tiebreak within a priority
     };
@@ -226,12 +217,6 @@ class BatchService
      *  shutdown). */
     std::mutex tailers_mutex_;
     std::vector<std::thread> tailers_;
-
-    /** Per-job workload identities (guarded by identity_mutex_). */
-    std::mutex identity_mutex_;
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::string, batch::CacheKey>>
-        identities_;
 };
 
 } // namespace delorean::service

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
 
 #include "base/logging.hh"
 #include "batch/error.hh"
@@ -15,7 +15,6 @@
 #include "checkpoint/livepoint.hh"
 #include "core/session.hh"
 #include "service/client.hh"
-#include "service/server.hh"
 #include "service/stream.hh"
 #include "workload/trace_io.hh"
 
@@ -198,8 +197,6 @@ WorkerLoop::pullLoop(unsigned thread_index)
             std::string failure;
             std::string payload;
             try {
-                const LeaseKeeper keeper(*client, lease.lease,
-                                         lease.deadline_ms, killed_);
                 const auto plan = batch::BatchPlan::fromManifestText(
                     lease.manifest, "lease");
                 std::vector<const batch::BatchCell *> unit;
@@ -214,6 +211,9 @@ WorkerLoop::pullLoop(unsigned thread_index)
                             "resubmit");
                     unit.push_back(&plan.cells()[index]);
                 }
+                // Renewed from here until the results are ready.
+                const LeaseKeeper keeper(*client, lease.lease,
+                                         lease.deadline_ms, killed_);
 
                 std::vector<const batch::BatchCell *> misses;
                 for (const auto *cell : unit)
@@ -223,33 +223,20 @@ WorkerLoop::pullLoop(unsigned thread_index)
                                             misses.size());
 
                 if (!misses.empty()) {
-                    verboseLog(config_.verbose,
-                               "[%s] lease %llu: running %zu of %zu cells\n",
-                               name.c_str(), (unsigned long long)lease.lease,
-                               misses.size(), unit.size());
+                    if (config_.verbose)
+                        std::fprintf(stderr,
+                                     "[%s] lease %llu: running %zu of "
+                                     "%zu cells\n",
+                                     name.c_str(),
+                                     (unsigned long long)lease.lease,
+                                     misses.size(), unit.size());
                     const auto results =
                         batch::BatchRunner::runUnit(misses);
-                    // Same after-run guard as BatchRunner::run: a file
-                    // re-recorded while the unit ran must not publish
-                    // the new bytes' result under the old key. One
-                    // digest per workload per unit.
-                    std::unordered_map<std::string, batch::CacheKey> now;
-                    for (const auto *cell : misses) {
-                        if (!batch::specIsFileBacked(
-                                batch::normalizeSpec(cell->workload)))
-                            continue;
-                        auto it = now.find(cell->workload);
-                        if (it == now.end())
-                            it = now.emplace(cell->workload,
-                                             batch::workloadIdentity(
-                                                 cell->workload))
-                                     .first;
-                        if (it->second != cell->workload_identity)
-                            throw batch::BatchError(
-                                cell->workload +
-                                ": file changed while the unit ran; "
-                                "result discarded — resubmit the plan");
-                    }
+                    // A file re-recorded while the unit ran must not
+                    // publish the new bytes' result under the old key.
+                    batch::RerecordGuard rerecorded;
+                    for (const auto *cell : misses)
+                        rerecorded.check(*cell);
                     for (std::size_t i = 0; i < misses.size(); ++i)
                         cache_.store(misses[i]->key, results[i]);
                     cells_executed_.fetch_add(misses.size());
@@ -286,8 +273,9 @@ WorkerLoop::pullLoop(unsigned thread_index)
             client.reset();
             if (stop_.load())
                 return;
-            verboseLog(config_.verbose, "[%s] %s\n",
-                       name.c_str(), e.what());
+            if (config_.verbose)
+                std::fprintf(stderr, "[%s] %s\n", name.c_str(),
+                             e.what());
             unsigned left = pollBackoffMs(
                 reconnect_attempt++, ServiceClient::poll_base_ms,
                 ServiceClient::poll_cap_ms, 0x776f726bull + thread_index);
@@ -349,11 +337,13 @@ WorkerLoop::runStreamLease(ServiceClient &client,
                 " windows but the lease starts at window " +
                 std::to_string(lease.from));
 
-        verboseLog(config_.verbose,
-                   "[%s] stream lease %llu: stream %llu windows [%u, %u)%s\n",
-                   name.c_str(), (unsigned long long)lease.lease,
-                   (unsigned long long)lease.stream, lease.from, lease.to,
-                   lease.finish ? ", finish" : "");
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[%s] stream lease %llu: stream %llu windows "
+                         "[%u, %u)%s\n",
+                         name.c_str(), (unsigned long long)lease.lease,
+                         (unsigned long long)lease.stream, lease.from,
+                         lease.to, lease.finish ? ", finish" : "");
 
         // The spool may still be growing; present exactly the records
         // the lease covers so every worker sees the same snapshot.

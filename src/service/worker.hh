@@ -19,14 +19,14 @@
  *     from it; the rest run through batch::BatchRunner::runUnit — the
  *     exact scheduler a local batch_run uses, which is half of the
  *     fleet's bit-identity guarantee. A file-backed workload is
- *     digested again after the run, as batch_run does: a file
- *     re-recorded while the unit ran fails the unit instead of
- *     publishing under the old key.
- *  4. While the lease runs, the worker RENEWs it every third of its
- *     deadline-ms, so a unit longer than the lease is not re-leased
- *     to another worker; then COMPLETE returns the serialized records
- *     in unit order (chunked past the frame cap by the protocol
- *     layer).
+ *     digested again after the run (batch::RerecordGuard, as in
+ *     batch_run): a file re-recorded while the unit ran fails the
+ *     unit instead of publishing under the old key.
+ *  4. From key verification until the results are ready, the worker
+ *     RENEWs the lease every third of its deadline-ms, so a unit
+ *     longer than the lease is not re-leased to another worker;
+ *     then COMPLETE returns the serialized records in unit order
+ *     (chunked past the frame cap by the protocol layer).
  *
  * Workers also execute *stream* leases (docs/service.md, "Stream
  * migration"): when no work unit is available, STREAM-LEASE may hand

@@ -793,6 +793,36 @@ TEST(Runner, RefusesToCacheFileRerecordedMidRun)
     EXPECT_TRUE(ResultCache(dir.path).entries().empty());
 }
 
+TEST(Runner, RerecordGuardDigestsEachFileOncePerGuard)
+{
+    TempPath trace("guard");
+    auto source = workload::makeSpecTrace("bzip2");
+    workload::recordTrace(*source, 450'000, trace.path);
+
+    core::DeloreanConfig cfg = tinyConfig();
+    const BatchPlan plan({"file:" + trace.path, "bzip2"}, {{"c", cfg}},
+                         {{"s", cfg.schedule}});
+    ASSERT_EQ(plan.cells().size(), 2u);
+    const BatchCell &file_cell = plan.cells()[0];
+    const BatchCell &spec_cell = plan.cells()[1];
+    ASSERT_EQ(file_cell.workload, "file:" + trace.path);
+
+    RerecordGuard early;
+    EXPECT_NO_THROW(early.check(file_cell));
+
+    auto other = workload::makeSpecTrace("mcf");
+    workload::recordTrace(*other, 450'000, trace.path);
+
+    // A guard that first looks after the re-record refuses the stale
+    // cell; a workload without a file is never refused.
+    RerecordGuard late;
+    EXPECT_THROW(late.check(file_cell), BatchError);
+    EXPECT_NO_THROW(late.check(spec_cell));
+    // The early guard digested the file once, before the re-record:
+    // its check window closed then.
+    EXPECT_NO_THROW(early.check(file_cell));
+}
+
 TEST(ResultCache, GcReclaimsOrphanedTempFiles)
 {
     TempPath dir("orphans");

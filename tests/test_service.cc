@@ -176,14 +176,15 @@ struct ServiceFixture
     std::thread runner;
 
     explicit ServiceFixture(bool with_spool = false,
-                            unsigned stream_threads = 1)
+                            unsigned stream_threads = 1,
+                            unsigned threads = 2)
     {
         std::filesystem::create_directories(root.path);
         config.socket_path = root.path + "/srv.sock";
         config.cache_dir = root.path + "/cache";
         if (with_spool)
             config.spool_dir = root.path + "/spool";
-        config.threads = 2;
+        config.threads = threads;
         config.stream_threads = stream_threads;
         config.poll_ms = 20; // fast spool polls keep tests snappy
         config.tail_poll_ms = 25; // ...and fast trace-tail polls
@@ -1640,6 +1641,135 @@ TEST(Queue, CloseRacingInFlightCompletionIsSafe)
     }
 }
 
+// ------------------------------------------------- executors
+
+/** A cell of most of a second: holds a one-thread daemon's only drain
+ *  loop busy while a test queues more work behind it. */
+constexpr const char *busy_manifest =
+    "workload bzip2\n"
+    "config c llc=2MiB\n"
+    "schedule s spacing=4000000 regions=4\n"
+    "methods delorean\n";
+
+/** A one-cell plan of about 0.2 s, distinct per @p llc_mib. */
+std::string
+orderedManifest(unsigned llc_mib)
+{
+    return "workload bzip2\nconfig c llc=" + std::to_string(llc_mib) +
+           "MiB\nschedule s spacing=2000000 regions=2\n"
+           "methods delorean\n";
+}
+
+/** Submit one-cell jobs to @p socket: "low" at priority 1, a tied
+ *  pair at 5 from two threads at once, then "high" at 9. @return their
+ *  ids in the order an executor must take them: high, the tie by job
+ *  id, low. */
+std::vector<std::uint64_t>
+submitPriorityMix(const std::string &socket)
+{
+    ServiceClient client(socket);
+    const std::uint64_t low = client.submit(orderedManifest(1), 1).job;
+    std::uint64_t tie[2] = {0, 0};
+    std::thread a([&] {
+        tie[0] = ServiceClient(socket).submit(orderedManifest(2), 5).job;
+    });
+    std::thread b([&] {
+        tie[1] = ServiceClient(socket).submit(orderedManifest(4), 5).job;
+    });
+    a.join();
+    b.join();
+    const std::uint64_t high = client.submit(orderedManifest(8), 9).job;
+    return {high, std::min(tie[0], tie[1]), std::max(tie[0], tie[1]), low};
+}
+
+TEST(Service, DrainLoopRunsPriorityThenSubmissionOrder)
+{
+    // One drain loop, held busy while four one-cell jobs queue behind
+    // it: the highest priority runs first, then the tied pair in job-id
+    // order, then the lowest. A WAIT answers once its job settles and
+    // the loop starts the next cell only after that; each cell runs
+    // ~0.2 s, so every job still queued is not done when it answers.
+    ServiceFixture fixture(/*with_spool=*/false, /*stream_threads=*/1,
+                           /*threads=*/1);
+    ServiceClient client(fixture.config.socket_path);
+    const auto busy = client.submit(busy_manifest);
+    const auto order = submitPriorityMix(fixture.config.socket_path);
+    ASSERT_FALSE(client.jobDone(busy.job))
+        << "the busy cell ended before the queue filled";
+
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        ASSERT_TRUE(client.waitForJob(order[i], 120.0));
+        EXPECT_STREQ(client.jobStatus(order[i]).state(), "done");
+        for (std::size_t j = i + 1; j < order.size(); ++j)
+            EXPECT_FALSE(client.jobDone(order[j]))
+                << "job " << order[j] << " ran before job " << order[i];
+    }
+    EXPECT_EQ(fixture.service->cellsExecuted(), 5u);
+}
+
+TEST(Service, ShutdownAbandonsQueuedCellsAndKeepsTheirManifest)
+{
+    // Shutdown lets the running cell finish and publish, but the drain
+    // loop returns instead of running what is queued: a spool manifest
+    // whose cells never ran stays in the spool for the next serve.
+    ServiceFixture fixture(/*with_spool=*/true, /*stream_threads=*/1,
+                           /*threads=*/1);
+    ServiceClient client(fixture.config.socket_path);
+    const auto busy = client.submit(busy_manifest);
+    const std::string spool = fixture.config.spool_dir;
+    writeFile(spool + "/queued.plan", tiny_manifest);
+    ServiceFixture::waitFor(
+        [&] { return client.status().jobs_submitted == 2; },
+        "the spool pickup");
+    ASSERT_FALSE(client.jobDone(busy.job))
+        << "the busy cell ended before shutdown";
+
+    fixture.service->requestShutdown();
+    fixture.runner.join(); // every drain loop left its wait
+
+    const batch::ResultCache &cache = fixture.service->cache();
+    EXPECT_TRUE(cache.contains(tinyPlan(busy_manifest).cells()[0].key));
+    EXPECT_FALSE(cache.contains(tinyPlan().cells()[0].key));
+    EXPECT_TRUE(std::filesystem::exists(spool + "/queued.plan"));
+    EXPECT_FALSE(std::filesystem::exists(spool + "/done/queued.plan"));
+    EXPECT_FALSE(std::filesystem::exists(spool + "/failed/queued.plan"));
+    EXPECT_EQ(fixture.service->counters().jobs_completed, 1u);
+    EXPECT_EQ(fixture.service->cellsExecuted(), 1u);
+}
+
+TEST(Service, FileReRecordedWhileQueuedFailsTheJob)
+{
+    // The drain loop's re-record guard: a file plan is keyed at
+    // SUBMIT, waits behind a busy cell while its file is re-recorded,
+    // and then runs on the new bytes — whose result must not be stored
+    // under the stale key.
+    TempPath trace("queued_rerecord");
+    (void)recordTraceBytes(trace.path, 400000);
+    const std::string manifest =
+        "workload file:" + trace.path + "\n" + stream_directives;
+    const batch::CacheKey stale = tinyPlan(manifest.c_str()).cells()[0].key;
+
+    ServiceFixture fixture(/*with_spool=*/false, /*stream_threads=*/1,
+                           /*threads=*/1);
+    ServiceClient client(fixture.config.socket_path);
+    const auto busy = client.submit(busy_manifest);
+    const auto info = client.submit(manifest);
+    {
+        auto source = workload::makeTrace("spec:mcf");
+        workload::recordTrace(*source, 400000, trace.path);
+    }
+    ASSERT_FALSE(client.jobDone(busy.job))
+        << "the busy cell ended before the re-record";
+    ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+
+    const JobStatus status = client.jobStatus(info.job);
+    EXPECT_STREQ(status.state(), "failed");
+    EXPECT_NE(status.first_error.find("file changed after the plan was keyed"),
+              std::string::npos)
+        << status.first_error;
+    EXPECT_FALSE(fixture.service->cache().contains(stale));
+}
+
 // -------------------------------------------------- fleet coordinator
 
 /**
@@ -1889,6 +2019,70 @@ TEST(Coordinator, FileReRecordedBeforeTheLeaseFailsTheJob)
     EXPECT_FALSE(batch::ResultCache(fixture.root.path + "/wcache_w")
                      .contains(stale));
     EXPECT_EQ(worker.counters().cells_executed, 0u);
+}
+
+TEST(Coordinator, FileReRecordedWhileTheUnitRunsFailsTheJob)
+{
+    // The after-run re-record guard on the lease path. The worker
+    // starts renewing once the unit's keys check out, so by the first
+    // renewal it is running the unit — 96 co-scheduled cells, most of
+    // a second — and the file is replaced under it. The results must
+    // not be published under the stale keys.
+    TempPath trace("unit_rerecord"), next("unit_rerecord_next");
+    (void)recordTraceBytes(trace.path, 400000);
+    {
+        // A name as long as bzip2's keeps the header the same size, so
+        // the running unit goes on reading well-formed records.
+        auto source = workload::makeTrace("spec:hmmer");
+        workload::recordTrace(*source, 400000, next.path);
+    }
+    std::string manifest = "workload file:" + trace.path + "\n";
+    for (int i = 1; i <= 96; ++i)
+        manifest += "config c" + std::to_string(i) +
+                    " llc=2MiB seed=" + std::to_string(i) + "\n";
+    manifest += "schedule s spacing=200000 regions=2\nmethods delorean\n";
+    const auto plan = tinyPlan(manifest.c_str());
+
+    CoordinatorFixture fixture(/*lease_ms=*/300);
+    ServiceClient client(fixture.config.socket_path);
+    const auto info = client.submit(manifest);
+    WorkerLoop worker(fixture.workerConfig("w"));
+    worker.start();
+    ServiceFixture::waitFor(
+        [&] { return fixture.coordinator->counters().leases_renewed >= 1; },
+        "the running unit's first renewal");
+    std::filesystem::rename(next.path, trace.path);
+    ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+    worker.stop();
+
+    const JobStatus status = client.jobStatus(info.job);
+    EXPECT_STREQ(status.state(), "failed");
+    EXPECT_NE(status.first_error.find("file changed after the plan was keyed"),
+              std::string::npos)
+        << status.first_error;
+    const batch::ResultCache worker_cache(fixture.root.path + "/wcache_w");
+    for (const auto &cell : plan.cells()) {
+        EXPECT_FALSE(fixture.coordinator->cache().contains(cell.key));
+        EXPECT_FALSE(worker_cache.contains(cell.key));
+    }
+    EXPECT_EQ(worker.counters().cells_executed, 0u);
+    EXPECT_EQ(fixture.coordinator->counters().leases_granted, 1u);
+}
+
+TEST(Coordinator, LeasesFollowPriorityThenSubmissionOrder)
+{
+    // With no worker attached the units wait in the ready queue, and
+    // LEASE hands them out highest priority first, then in job-id
+    // order within a priority — the daemon's drain order, on leases.
+    CoordinatorFixture fixture;
+    const auto order = submitPriorityMix(fixture.config.socket_path);
+    ServiceClient client(fixture.config.socket_path);
+    for (const std::uint64_t job : order) {
+        const auto lease = client.lease("order");
+        ASSERT_FALSE(lease.idle);
+        EXPECT_EQ(lease.job, job);
+    }
+    EXPECT_TRUE(client.lease("order").idle);
 }
 
 // In-process fault injection: drive Coordinator::handle() directly so

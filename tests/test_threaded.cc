@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -151,6 +155,32 @@ TEST(ParallelMap, SharedPoolAcrossBatches)
     }
     // sum over batches of (0..99 + batch*100)
     EXPECT_EQ(total, 5LL * 4950 + 100LL * (0 + 1 + 2 + 3 + 4));
+}
+
+TEST(ParallelMap, SharedPoolCallerWaitsOnlyForItsOwnRange)
+{
+    // The pool's one worker is busy with another caller's task, so the
+    // body this caller queues cannot start: the caller runs its whole
+    // range itself and must return without waiting for that body.
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool released = false, timed_out = false;
+    auto pool = std::make_unique<ThreadPool>(1);
+    pool->submit([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        timed_out = !cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return released; });
+    });
+    const auto out =
+        parallelMap(*pool, 8, [](std::size_t i) { return int(i) * 2; });
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        released = true;
+    }
+    cv.notify_all();
+    pool.reset(); // runs the late body, which finds nothing to claim
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(out, (std::vector<int>{0, 2, 4, 6, 8, 10, 12, 14}));
 }
 
 // ------------------------------------------------------- region fan-out
