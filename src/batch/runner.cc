@@ -79,12 +79,13 @@ planWorkUnits(const std::vector<const BatchCell *> &cells)
 }
 
 std::vector<sampling::MethodResult>
-BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
+BatchRunner::runUnit(const std::vector<const BatchCell *> &cells,
+                     core::Executor *executor)
 {
     if (cells.empty())
         return {};
     if (cells.size() == 1)
-        return {runCell(*cells.front())};
+        return {runCell(*cells.front(), executor)};
 
     // A multi-cell unit co-schedules only if every member still
     // qualifies and agrees on the group key — a unit straight from
@@ -99,7 +100,7 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
         std::vector<sampling::MethodResult> results;
         results.reserve(cells.size());
         for (const BatchCell *cell : cells)
-            results.push_back(runCell(*cell));
+            results.push_back(runCell(*cell, executor));
         return results;
     }
 
@@ -110,7 +111,7 @@ BatchRunner::runUnit(const std::vector<const BatchCell *> &cells)
         configs.push_back(cell->config);
     try {
         const auto trace = workload::makeTrace(lead.workload);
-        return core::DeloreanMethod::runGroup(*trace, configs);
+        return core::DeloreanMethod::runGroup(*trace, configs, executor);
     } catch (const BatchError &) {
         throw;
     } catch (const std::exception &e) {
@@ -146,7 +147,7 @@ RerecordGuard::check(const BatchCell &cell)
 }
 
 sampling::MethodResult
-BatchRunner::runCell(const BatchCell &cell)
+BatchRunner::runCell(const BatchCell &cell, core::Executor *executor)
 {
     try {
         auto trace = workload::makeTrace(cell.workload);
@@ -163,14 +164,15 @@ BatchRunner::runCell(const BatchCell &cell)
                     const auto warm = checkpoint::loadForRun(
                         cell.workload, cell.config,
                         cell.config.livepoint_file);
-                    return core::DeloreanMethod::run(*trace,
-                                                     cell.config, &warm);
+                    return core::DeloreanMethod::run(
+                        *trace, cell.config, &warm, executor);
                 } catch (const checkpoint::CheckpointError &e) {
                     warn("%s: %s; falling back to a fresh warm-up",
                          cell.workload.c_str(), e.what());
                 }
             }
-            return core::DeloreanMethod::run(*trace, cell.config);
+            return core::DeloreanMethod::run(*trace, cell.config,
+                                             nullptr, executor);
         }
     } catch (const std::exception &e) {
         // E.g. a recording shorter than the schedule; tag with the
@@ -225,8 +227,18 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
         cache->store(cell.key, result);
     };
 
+    // One thread budget for units and their windows: threads - 1 pool
+    // workers and this thread claim units, and the same pool runs the
+    // units' window fan-outs. A worker takes offers in the order they
+    // were posted, so it helps windows only once every unit is
+    // claimed; threads = 1 runs everything inline.
+    const unsigned threads = core::resolveThreads(opt.threads);
+    std::unique_ptr<core::ThreadPool> pool;
+    if (threads > 1)
+        pool = std::make_unique<core::ThreadPool>(threads - 1);
+
     std::vector<CellOutcome> outcomes(mine.size());
-    core::parallelMap(units.size(), opt.threads, [&](std::size_t u) {
+    const auto runOne = [&](std::size_t u) {
         // Probe the cache per member first; only the misses run, and
         // a group's misses still co-schedule (any subset is valid).
         std::vector<std::size_t> misses;
@@ -268,7 +280,7 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
         to_run.reserve(misses.size());
         for (const std::size_t i : misses)
             to_run.push_back(mine[i]);
-        auto results = runUnit(to_run);
+        auto results = runUnit(to_run, pool.get());
         for (std::size_t j = 0; j < misses.size(); ++j) {
             const BatchCell &cell = *mine[misses[j]];
             CellOutcome &outcome = outcomes[misses[j]];
@@ -276,7 +288,11 @@ BatchRunner::run(const BatchPlan &plan, const BatchOptions &opt)
             storeResult(cell, outcome.result);
         }
         return 0;
-    });
+    };
+    if (pool)
+        core::parallelMap(*pool, units.size(), runOne);
+    else
+        core::parallelMap(units.size(), 1, runOne);
 
     report.outcomes = std::move(outcomes);
     for (const auto &outcome : report.outcomes) {

@@ -4,12 +4,15 @@
  *
  * Cells are independent by construction (each clones its own trace and
  * owns its simulator state), so the runner exploits two levels of
- * parallelism on top of whatever host_threads each cell's config
- * requests internally:
+ * parallelism:
  *
- *  - threads: cell-level fan-out on the PR-1 ThreadPool within one
- *    process (core/parallel.hh; results are placed by cell index, so
- *    output order is deterministic for any thread count);
+ *  - threads: one thread budget per process for work units and their
+ *    windows (core/parallel.hh). threads - 1 pool workers and the
+ *    calling thread claim units; a worker left without a unit helps
+ *    the running units' windows, so a plan with fewer units than
+ *    threads still uses them all. Results are placed by cell index,
+ *    so output order is deterministic for any thread count, and
+ *    threads = 1 runs everything inline with no pool;
  *  - shards: `--shard i/N` partitions the plan across processes or
  *    hosts — shard i executes the cells whose index satisfies
  *    index % N == i. All shards expand the identical plan (the
@@ -40,7 +43,7 @@ namespace delorean::batch
 /** Execution knobs for one BatchRunner::run invocation. */
 struct BatchOptions
 {
-    unsigned threads = 1;     //!< cell-level fan-out (0 = hardware)
+    unsigned threads = 1;     //!< units + windows at once (0 = hardware)
     unsigned shard_index = 0; //!< this process's shard
     unsigned shard_count = 1; //!< total shards
     bool use_cache = true;
@@ -123,8 +126,11 @@ class BatchRunner
      * Execute one cell directly — no cache, no sharding. This is the
      * reference the cached/sharded paths must match bit-for-bit
      * (MethodResult::operator==), pinned by tests/test_batch.cc.
+     * A DeLorean cell fans its windows out over @p executor when given
+     * (bit-identical for any executor).
      */
-    static sampling::MethodResult runCell(const BatchCell &cell);
+    static sampling::MethodResult runCell(const BatchCell &cell,
+                                          core::Executor *executor = nullptr);
 
     /**
      * Execute one work unit's cells together, results in @p cells
@@ -133,10 +139,12 @@ class BatchRunner
      * cache hits pruned some members — is still a valid group); cells
      * that turn out not to be groupable fall back to solo runCell
      * calls. Either way every result is bit-identical to a solo
-     * runCell of the same cell. Throws BatchError on failure.
+     * runCell of the same cell, and windows fan out over @p executor
+     * when given. Throws BatchError on failure.
      */
     static std::vector<sampling::MethodResult>
-    runUnit(const std::vector<const BatchCell *> &cells);
+    runUnit(const std::vector<const BatchCell *> &cells,
+            core::Executor *executor = nullptr);
 };
 
 } // namespace delorean::batch

@@ -166,20 +166,20 @@ namespace
 void
 feedAll(DeloreanSession &session, const workload::TraceSource &master,
         const sampling::TraceCheckpointer &checkpoints,
-        const std::vector<RegionWarm> *warm)
+        const std::vector<RegionWarm> *warm, Executor *executor)
 {
     const unsigned step =
         session.config().confidence > 0.0 ? 1 : session.windowsTotal();
     while (!session.done()) {
         if (!warm) {
-            session.feedWindows(master, checkpoints, step);
+            session.feedWindows(master, checkpoints, step, executor);
             continue;
         }
         std::vector<RegionWarm> next;
         for (unsigned i = 0; i < step; ++i)
             next.push_back(
                 (*warm)[session.windowOrder()[session.windowsFed() + i]]);
-        session.feedWarmWindows(master, checkpoints, next);
+        session.feedWarmWindows(master, checkpoints, next, executor);
     }
 }
 
@@ -187,14 +187,15 @@ feedAll(DeloreanSession &session, const workload::TraceSource &master,
 
 std::vector<sampling::MethodResult>
 DeloreanMethod::runGroup(const workload::TraceSource &master,
-                         const std::vector<DeloreanConfig> &configs)
+                         const std::vector<DeloreanConfig> &configs,
+                         Executor *executor)
 {
     if (configs.empty())
         return {};
     DeloreanSession session(configs);
     sampling::TraceCheckpointer checkpoints(master);
     checkpoints.prepare(checkpointPositions(configs.front()));
-    feedAll(session, master, checkpoints, nullptr);
+    feedAll(session, master, checkpoints, nullptr, executor);
 
     std::vector<sampling::MethodResult> results;
     for (std::size_t i = 0; i < configs.size(); ++i)
@@ -205,7 +206,8 @@ DeloreanMethod::runGroup(const workload::TraceSource &master,
 sampling::MethodResult
 DeloreanMethod::run(const workload::TraceSource &master,
                     const DeloreanConfig &config,
-                    const std::vector<RegionWarm> *warm)
+                    const std::vector<RegionWarm> *warm,
+                    Executor *executor)
 {
     fatal_if(warm && warm->size() != config.schedule.num_regions,
              "live-point warm state covers %zu regions, schedule has %u",
@@ -213,7 +215,7 @@ DeloreanMethod::run(const workload::TraceSource &master,
     DeloreanSession session(config);
     sampling::TraceCheckpointer checkpoints(master);
     checkpoints.prepare(checkpointPositions(config));
-    feedAll(session, master, checkpoints, warm);
+    feedAll(session, master, checkpoints, warm, executor);
     return session.finish();
 }
 

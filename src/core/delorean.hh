@@ -32,6 +32,8 @@
 namespace delorean::core
 {
 
+class Executor; // core/parallel.hh
+
 /** DeLorean-specific knobs on top of the shared MethodConfig. */
 struct DeloreanConfig : sampling::MethodConfig
 {
@@ -51,9 +53,12 @@ struct DeloreanConfig : sampling::MethodConfig
 
     /**
      * Host worker threads for region-level fan-out of the warm-up and
-     * Analyst passes (core/parallel.hh). 1 = serial (default), 0 = one
-     * per hardware thread. Results are bit-identical for every value;
-     * this knob trades host cores for wall-clock only.
+     * Analyst passes (core/parallel.hh), on a pool local to each feed.
+     * 1 = serial (default), 0 = one per hardware thread. Unused when
+     * the caller passes an Executor to run on (DeloreanSession's
+     * feeds): its helpers set the fan-out instead. Results are
+     * bit-identical for every value; this knob trades host cores for
+     * wall-clock only.
      */
     unsigned host_threads = 1;
 
@@ -148,11 +153,13 @@ class DeloreanMethod
      * from a live-point file); the Scout/Explorer passes are skipped
      * and the result is bit-identical to a fresh warm-up. With
      * config.confidence > 0 windows replay in the session's shuffled
-     * order until its stop rule fires (see DeloreanConfig).
+     * order until its stop rule fires (see DeloreanConfig). Windows
+     * fan out over @p executor when given (DeloreanSession's feeds).
      */
     static sampling::MethodResult
     run(const workload::TraceSource &master, const DeloreanConfig &config,
-        const std::vector<RegionWarm> *warm = nullptr);
+        const std::vector<RegionWarm> *warm = nullptr,
+        Executor *executor = nullptr);
 
     /**
      * Co-scheduled run of several configurations over one trace: a
@@ -162,11 +169,13 @@ class DeloreanMethod
      * paper_vicinity_period), host_threads, exact mode
      * (confidence == 0) and no live-point file — grouping is an
      * execution strategy only, so results (and any caching of them)
-     * are bit-identical per config to a solo run().
+     * are bit-identical per config to a solo run(). Windows fan out
+     * over @p executor when given.
      */
     static std::vector<sampling::MethodResult>
     runGroup(const workload::TraceSource &master,
-             const std::vector<DeloreanConfig> &configs);
+             const std::vector<DeloreanConfig> &configs,
+             Executor *executor = nullptr);
 
     /** Checkpoint positions this configuration's passes will need. */
     static std::vector<InstCount>

@@ -33,6 +33,16 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 void
+ThreadPool::post(const RunNext &run_next, unsigned copies)
+{
+    for (unsigned c = 0; c < copies; ++c)
+        submit([run_next] {
+            while (run_next()) {
+            }
+        });
+}
+
+void
 ThreadPool::workerLoop()
 {
     for (;;) {

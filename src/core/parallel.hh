@@ -9,12 +9,23 @@
  * while preserving a hard guarantee: results are bit-identical to the
  * serial path, regardless of thread count or scheduling order.
  *
- * ThreadPool + parallelMap: a work pool for region- and unit-level
- * fan-out. parallelMap(n, threads, fn) evaluates fn(i) for i in [0, n)
- * and returns the results indexed by i; each index owns its result
- * slot, so scheduling cannot reorder output. With threads <= 1 the
- * calls run inline on the calling thread — that *is* the serial
- * reference path, not an approximation of it.
+ * Executor: where a fan-out finds helper threads. A fan-out offers its
+ * indices to at most helpers() threads and runs every index nobody else
+ * claimed itself, so it never waits for a helper to become free. Two
+ * executors exist: ThreadPool, whose workers take every offer, and the
+ * batch daemon's drain loops (service/service.hh), which take one only
+ * while no cell is queued. Sharing one executor between cells and the
+ * windows of running cells keeps a process inside one thread budget:
+ * BatchRunner::run hands its unit pool to each unit's sessions, and the
+ * daemon lends its idle drain loops to the cell another loop is running.
+ *
+ * parallelMap(executor, n, fn) evaluates fn(i) for i in [0, n) and
+ * returns the results indexed by i; each index owns its result slot,
+ * so scheduling cannot reorder output. parallelMap(n, threads, fn) does
+ * the same over a pool of its own. With no helper (threads <= 1, or an
+ * executor with helpers() == 0) the calls run inline on the calling
+ * thread — that *is* the serial reference path, not an approximation
+ * of it.
  *
  * Determinism contract: fn must depend only on its index argument and
  * on state it does not share mutably with other indices. Everything
@@ -41,11 +52,41 @@ namespace delorean::core
 {
 
 /**
+ * Helper threads a fan-out may borrow (see the file docs). Helpers
+ * take part through a RunNext: each call claims the fan-out's next
+ * unclaimed index and runs it, returning false once every index is
+ * claimed. That false comes at once and touches nothing the fan-out's
+ * caller owns, so a RunNext that reaches a helper after its fan-out
+ * returned is harmless.
+ */
+class Executor
+{
+  public:
+    using RunNext = std::function<bool()>;
+
+    /** The most helpers one fan-out asks for (its caller not counted);
+     *  0 runs every fan-out inline. */
+    virtual unsigned helpers() const = 0;
+
+    /**
+     * Offer @p run_next to at most @p copies helper threads and return
+     * at once. A helper calls it until it returns false, or stops
+     * between calls; either way the fan-out's caller runs whatever is
+     * left.
+     */
+    virtual void post(const RunNext &run_next, unsigned copies) = 0;
+
+  protected:
+    ~Executor() = default;
+};
+
+/**
  * A fixed-size pool of worker threads draining a task queue. Tasks are
  * opaque thunks; batching, result placement and completion tracking are
- * the caller's concern (see parallelMap, which handles all three).
+ * the caller's concern (see parallelMap, which handles all three). As
+ * an Executor its workers take every offer, in the order posted.
  */
-class ThreadPool
+class ThreadPool final : public Executor
 {
   public:
     /** @param threads worker count; 0 means defaultThreads(). */
@@ -59,6 +100,9 @@ class ThreadPool
     void submit(std::function<void()> task);
 
     unsigned size() const { return unsigned(workers_.size()); }
+
+    unsigned helpers() const override { return size(); }
+    void post(const RunNext &run_next, unsigned copies) override;
 
     /** Host hardware concurrency, floored at 1. */
     static unsigned defaultThreads();
@@ -80,22 +124,27 @@ namespace detail
 {
 
 /**
- * Dynamic (atomic-counter) index distribution over [0, n): each worker
- * claims the next unclaimed index until the range is exhausted. The
- * caller returns once every index has finished, not once every queued
- * worker body has run: on a pool shared by several callers, a body
- * that starts after its range is exhausted (its worker was busy with
- * another caller's range) finds nothing to claim and exits touching
- * only the shared state, never @p fn. The first exception stops
- * further claims and is rethrown to the caller once every claimed
- * index has finished (no running fn can touch freed captures).
+ * Dynamic (atomic-counter) index distribution over [0, n): the caller
+ * and up to executor.helpers() helpers each claim the next unclaimed
+ * index until the range is exhausted. The caller returns once every
+ * index has finished, not once every offer has been taken: a helper
+ * that comes late (busy with other work, or an executor that lends
+ * only idle threads) finds nothing to claim and exits touching only
+ * the shared state, never @p fn. The first exception stops further
+ * claims and is rethrown to the caller once every claimed index has
+ * finished (no running fn can touch freed captures).
  */
 template <typename Fn>
 void
-runIndexed(ThreadPool &pool, std::size_t n, unsigned workers, Fn &fn)
+runIndexed(Executor &executor, std::size_t n, Fn &fn)
 {
-    if (n == 0)
+    const unsigned copies = unsigned(
+        std::min<std::size_t>(executor.helpers(), n > 0 ? n - 1 : 0));
+    if (copies == 0) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
         return;
+    }
 
     struct State
     {
@@ -110,36 +159,33 @@ runIndexed(ThreadPool &pool, std::size_t n, unsigned workers, Fn &fn)
     // The finished count moves under the mutex: the caller cannot see
     // finished == n and release fn's captures while an index is still
     // running.
-    auto body = [state, n, &fn] {
-        for (;;) {
-            const std::size_t i =
-                state->next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            std::exception_ptr error;
-            std::size_t skipped = 0;
-            try {
-                fn(i);
-            } catch (...) {
-                error = std::current_exception();
-                // Stop further claims; the unclaimed rest is finished.
-                const std::size_t unclaimed = state->next.exchange(n);
-                skipped = unclaimed < n ? n - unclaimed : 0;
-            }
-            std::lock_guard<std::mutex> lock(state->mutex);
-            if (error && !state->error)
-                state->error = error;
-            state->finished += 1 + skipped;
-            if (state->finished == n)
-                state->all_done.notify_all();
+    auto run_next = [state, n, &fn]() -> bool {
+        const std::size_t i =
+            state->next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            return false;
+        std::exception_ptr error;
+        std::size_t skipped = 0;
+        try {
+            fn(i);
+        } catch (...) {
+            error = std::current_exception();
+            // Stop further claims; the unclaimed rest is finished.
+            const std::size_t unclaimed = state->next.exchange(n);
+            skipped = unclaimed < n ? n - unclaimed : 0;
         }
+        std::lock_guard<std::mutex> lock(state->mutex);
+        if (error && !state->error)
+            state->error = error;
+        state->finished += 1 + skipped;
+        if (state->finished == n)
+            state->all_done.notify_all();
+        return true;
     };
 
-    const unsigned launched =
-        unsigned(std::min<std::size_t>(std::max(workers, 1u), n));
-    for (unsigned w = 1; w < launched; ++w)
-        pool.submit(body);
-    body(); // the calling thread participates
+    executor.post(run_next, copies);
+    while (run_next()) {
+    } // the calling thread participates
 
     std::unique_lock<std::mutex> lock(state->mutex);
     state->all_done.wait(lock, [&] { return state->finished == n; });
@@ -150,13 +196,14 @@ runIndexed(ThreadPool &pool, std::size_t n, unsigned workers, Fn &fn)
 } // namespace detail
 
 /**
- * Evaluate fn(i) for every i in [0, n) on @p pool and return the
- * results as a vector indexed by i. Output is bit-identical to the
- * serial loop `for (i) out[i] = fn(i)` for any pool size.
+ * Evaluate fn(i) for every i in [0, n), borrowing helpers from
+ * @p executor, and return the results as a vector indexed by i. Output
+ * is bit-identical to the serial loop `for (i) out[i] = fn(i)` for any
+ * executor.
  */
 template <typename Fn>
 auto
-parallelMap(ThreadPool &pool, std::size_t n, Fn &&fn)
+parallelMap(Executor &executor, std::size_t n, Fn &&fn)
     -> std::vector<std::invoke_result_t<Fn &, std::size_t>>
 {
     using R = std::invoke_result_t<Fn &, std::size_t>;
@@ -166,7 +213,7 @@ parallelMap(ThreadPool &pool, std::size_t n, Fn &&fn)
                   "char/int instead.");
     std::vector<R> out(n);
     auto slotted = [&](std::size_t i) { out[i] = fn(i); };
-    detail::runIndexed(pool, n, pool.size() + 1, slotted);
+    detail::runIndexed(executor, n, slotted);
     return out;
 }
 

@@ -213,7 +213,8 @@ DeloreanSession::analyze(std::size_t cell,
 void
 DeloreanSession::feed(const workload::TraceSource &master,
                       const sampling::TraceCheckpointer &checkpoints,
-                      unsigned n, const std::vector<RegionWarm> *warm)
+                      unsigned n, const std::vector<RegionWarm> *warm,
+                      Executor *executor)
 {
     if (n == 0)
         return;
@@ -232,9 +233,9 @@ DeloreanSession::feed(const workload::TraceSource &master,
 
     // Windows are independent: each fuses its warm-up and Analyst
     // passes into one unit, and parallelMap folds by index, so results
-    // stay bit-identical under any host_threads.
+    // stay bit-identical under any executor or host_threads.
     const unsigned first = windowsFed();
-    auto windows = parallelMap(n, lead.host_threads, [&](std::size_t i) {
+    const auto window = [&](std::size_t i) {
         const unsigned r = order_[first + i];
         Window w;
         w.warm = warm ? std::vector<RegionWarm>{(*warm)[i]}
@@ -243,7 +244,9 @@ DeloreanSession::feed(const workload::TraceSource &master,
             w.analysis.push_back(
                 analyze(c, checkpoints, w.warm[scoutOf(c)], r));
         return w;
-    });
+    };
+    auto windows = executor ? parallelMap(*executor, n, window)
+                            : parallelMap(n, lead.host_threads, window);
 
     // Fold in feed order; the stop rule may discard the batch's tail.
     const std::uint64_t need =
@@ -263,35 +266,36 @@ DeloreanSession::feed(const workload::TraceSource &master,
 void
 DeloreanSession::feedWindows(const workload::TraceSource &master,
                              const sampling::TraceCheckpointer &checkpoints,
-                             unsigned n)
+                             unsigned n, Executor *executor)
 {
-    feed(master, checkpoints, n, nullptr);
+    feed(master, checkpoints, n, nullptr, executor);
 }
 
 void
 DeloreanSession::feedWindows(const workload::TraceSource &master,
-                             unsigned n)
+                             unsigned n, Executor *executor)
 {
     if (n != 0)
-        feed(master, checkpointsFor(master, n), n, nullptr);
+        feed(master, checkpointsFor(master, n), n, nullptr, executor);
 }
 
 void
 DeloreanSession::feedWarmWindows(
     const workload::TraceSource &master,
     const sampling::TraceCheckpointer &checkpoints,
-    const std::vector<RegionWarm> &warm)
+    const std::vector<RegionWarm> &warm, Executor *executor)
 {
-    feed(master, checkpoints, unsigned(warm.size()), &warm);
+    feed(master, checkpoints, unsigned(warm.size()), &warm, executor);
 }
 
 void
 DeloreanSession::feedWarmWindows(const workload::TraceSource &master,
-                                 const std::vector<RegionWarm> &warm)
+                                 const std::vector<RegionWarm> &warm,
+                                 Executor *executor)
 {
     const unsigned n = unsigned(warm.size());
     if (n != 0)
-        feed(master, checkpointsFor(master, n), n, &warm);
+        feed(master, checkpointsFor(master, n), n, &warm, executor);
 }
 
 std::vector<RegionWarm>

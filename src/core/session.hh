@@ -31,6 +31,13 @@
  * the schedule, Explorer geometry and host_threads, in exact mode with
  * no live-point file.
  *
+ * Each feed fans its windows out in one parallelMap call
+ * (core/parallel.hh). A caller with threads to lend passes its
+ * Executor — BatchRunner::run its unit pool, the batch daemon its idle
+ * drain loops — and the windows share that thread budget; with no
+ * executor, host_threads sizes a pool local to the feed. Either way
+ * the results are bit-identical to the serial feed.
+ *
  * The contract that makes streaming trustworthy (pinned by
  * tests/test_session.cc and tests/test_service.cc):
  *
@@ -128,13 +135,14 @@ class DeloreanSession
      * Run Scout + Explorers + Analyst for the next @p n windows of the
      * feed order, reading from @p master via @p checkpoints (which must
      * cover the windows' positions), or fewer if the stop rule fires
-     * first. Windows fan out across host_threads with bit-identical
-     * results. @p master must present the same name() on every feed
-     * (the benchmark identity of the session).
+     * first. Windows fan out over @p executor's helpers, or across
+     * host_threads when it is null, with bit-identical results.
+     * @p master must present the same name() on every feed (the
+     * benchmark identity of the session).
      */
     void feedWindows(const workload::TraceSource &master,
                      const sampling::TraceCheckpointer &checkpoints,
-                     unsigned n);
+                     unsigned n, Executor *executor = nullptr);
 
     /**
      * Same, but building a checkpoint store internally for just the
@@ -142,7 +150,8 @@ class DeloreanSession
      * (longer) snapshot of a growing trace. @p master needs only
      * regionEnd(last new window) instructions to exist.
      */
-    void feedWindows(const workload::TraceSource &master, unsigned n = 1);
+    void feedWindows(const workload::TraceSource &master, unsigned n = 1,
+                     Executor *executor = nullptr);
 
     /**
      * Feed precomputed warm state (live-point resume) for the next
@@ -153,7 +162,8 @@ class DeloreanSession
      */
     void feedWarmWindows(const workload::TraceSource &master,
                          const sampling::TraceCheckpointer &checkpoints,
-                         const std::vector<RegionWarm> &warm);
+                         const std::vector<RegionWarm> &warm,
+                         Executor *executor = nullptr);
 
     /**
      * Same, but building the checkpoint store internally for just the
@@ -162,7 +172,8 @@ class DeloreanSession
      * still-growing spooled trace.
      */
     void feedWarmWindows(const workload::TraceSource &master,
-                         const std::vector<RegionWarm> &warm);
+                         const std::vector<RegionWarm> &warm,
+                         Executor *executor = nullptr);
 
     unsigned windowsFed() const { return unsigned(fed_.size()); }
     unsigned windowsTotal() const { return unsigned(order_.size()); }
@@ -246,7 +257,7 @@ class DeloreanSession
     /** The shared body of every feed; @p warm null = fresh warm-up. */
     void feed(const workload::TraceSource &master,
               const sampling::TraceCheckpointer &checkpoints, unsigned n,
-              const std::vector<RegionWarm> *warm);
+              const std::vector<RegionWarm> *warm, Executor *executor);
 
     /** Index of @p cell's Scout in Window::warm. */
     std::size_t scoutOf(std::size_t cell) const

@@ -587,7 +587,7 @@ Coordinator::handleStreamOpen(const std::string &body)
     FleetStream stream;
     stream.id = id;
     stream.directives = body;
-    stream.config = streamConfig(id, body, 1);
+    stream.config = streamConfig(id, body);
     stream.spool = std::make_unique<TraceSpool>(
         id, dir + "/" + std::to_string(id) + ".dlt",
         stream.config.schedule.totalInstructions());

@@ -1,5 +1,6 @@
 #include "service/service.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -23,7 +24,8 @@ BatchService::BatchService(ServiceConfig config)
             [this](ServiceCounters &jobs, FleetStats &) {
                 jobs.cells_executed += streams_closed_.load();
             },
-            [this] { requestShutdown(); })
+            [this] { requestShutdown(); }),
+      loops_(core::resolveThreads(config_.threads))
 {
     if (config_.socket_path.empty())
         throw ServiceError("service: no socket path");
@@ -32,6 +34,68 @@ BatchService::BatchService(ServiceConfig config)
     if (!config_.spool_dir.empty())
         watcher_ = std::make_unique<ManifestWatcher>(config_.spool_dir);
 }
+
+class BatchService::Lender final : public core::Executor
+{
+  public:
+    explicit Lender(BatchService &service) : service_(service) {}
+
+    ~Lender()
+    {
+        if (!posted_)
+            return;
+        std::lock_guard<std::mutex> lock(service_.heap_mutex_);
+        auto &offers = service_.offers_;
+        offers.erase(std::remove_if(offers.begin(), offers.end(),
+                                    [&](const Offer &offer) {
+                                        return offer.lender == this;
+                                    }),
+                     offers.end());
+    }
+
+    Lender(const Lender &) = delete;
+    Lender &operator=(const Lender &) = delete;
+
+    /** Every other drain loop: the lender's own caller runs too. */
+    unsigned helpers() const override { return service_.loops_ - 1; }
+
+    void
+    post(const RunNext &run_next, unsigned copies) override
+    {
+        posted_ = true;
+        {
+            std::lock_guard<std::mutex> lock(service_.heap_mutex_);
+            for (unsigned c = 0; c < copies; ++c)
+                service_.offers_.push_back({this, run_next});
+        }
+        service_.heap_cv_.notify_all();
+    }
+
+  private:
+    BatchService &service_;
+    bool posted_ = false; //!< only the posting thread reads or writes
+};
+
+class BatchService::BusyLoop
+{
+  public:
+    explicit BusyLoop(BatchService &service) : service_(service)
+    {
+        const unsigned now = service_.busy_.fetch_add(1) + 1;
+        unsigned peak = service_.peak_busy_.load();
+        while (now > peak &&
+               !service_.peak_busy_.compare_exchange_weak(peak, now)) {
+        }
+    }
+
+    ~BusyLoop() { service_.busy_.fetch_sub(1); }
+
+    BusyLoop(const BusyLoop &) = delete;
+    BusyLoop &operator=(const BusyLoop &) = delete;
+
+  private:
+    BatchService &service_;
+};
 
 void
 BatchService::requestShutdown()
@@ -61,7 +125,7 @@ BatchService::run()
     {
         // Workers first: each drain-loop thunk occupies one pool
         // worker until the heap closes, so sizes must match exactly.
-        core::ThreadPool pool(core::resolveThreads(config_.threads));
+        core::ThreadPool pool(loops_);
         for (unsigned i = 0; i < pool.size(); ++i)
             pool.submit([this] { drainLoop(); });
 
@@ -182,28 +246,48 @@ BatchService::drainLoop()
 {
     for (;;) {
         Task task;
+        core::Executor::RunNext offer;
         {
             std::unique_lock<std::mutex> lock(heap_mutex_);
-            heap_cv_.wait(lock,
-                          [&] { return heap_closed_ || !heap_.empty(); });
+            heap_cv_.wait(lock, [&] {
+                return heap_closed_ || !heap_.empty() || !offers_.empty();
+            });
             // Closed: queued-but-unstarted cells are abandoned, their
             // spool manifests stay put for the next serve.
             if (heap_closed_)
                 return;
-            std::pop_heap(heap_.begin(), heap_.end(), heapBelow<Task>);
-            task = std::move(heap_.back());
-            heap_.pop_back();
+            if (heap_.empty()) {
+                // Idle: lend this loop to a running fan-out.
+                offer = std::move(offers_.front().run_next);
+                offers_.pop_front();
+            } else {
+                std::pop_heap(heap_.begin(), heap_.end(),
+                              heapBelow<Task>);
+                task = std::move(heap_.back());
+                heap_.pop_back();
+            }
+        }
+        if (offer) {
+            lend(offer);
+            continue;
         }
         const batch::BatchCell &cell = task.cell;
         bool ok = true;
         std::string error;
         try {
+            const BusyLoop busy(*this);
             if (config_.verbose)
                 std::fprintf(stderr, "[service] run %s %s (%s/%s)\n",
                              cell.workload.c_str(), cell.method.c_str(),
                              cell.config_name.c_str(),
                              cell.schedule_name.c_str());
-            const auto result = batch::BatchRunner::runCell(cell);
+            sampling::MethodResult result;
+            {
+                // The lender withdraws its untaken offers here, so no
+                // loop starts on this cell once its result is stored.
+                Lender lender(*this);
+                result = batch::BatchRunner::runCell(cell, &lender);
+            }
             task.rerecorded->check(cell);
             cache_.store(cell.key, result);
         } catch (const std::exception &e) {
@@ -213,6 +297,24 @@ BatchService::drainLoop()
                  cell.workload.c_str(), cell.method.c_str(), e.what());
         }
         finishJobs(jobs_.resolve(cell.key, ok, error, ok));
+    }
+}
+
+void
+BatchService::lend(const core::Executor::RunNext &run_next)
+{
+    // One window per turn, then back to the heap: a cell queued while
+    // this loop helps waits for at most one window.
+    for (;;) {
+        {
+            const BusyLoop busy(*this);
+            if (!run_next())
+                return;
+        }
+        windows_lent_.fetch_add(1);
+        std::lock_guard<std::mutex> lock(heap_mutex_);
+        if (heap_closed_ || !heap_.empty())
+            return;
     }
 }
 
@@ -347,8 +449,7 @@ BatchService::handleStreamOpen(const std::string &body)
     // Construct outside the map lock: directive parsing and spool
     // creation must not stall unrelated streams.
     auto entry = std::make_shared<StreamEntry>(
-        id, dir + "/" + std::to_string(id) + ".dlt", directives,
-        config_.stream_threads);
+        id, dir + "/" + std::to_string(id) + ".dlt", directives);
     {
         std::lock_guard<std::mutex> lock(streams_mutex_);
         streams_.emplace(id, std::move(entry));
@@ -373,7 +474,8 @@ BatchService::appendToStream(std::uint64_t id, const std::string &bytes)
     auto entry = findStream(id);
     try {
         std::lock_guard<std::mutex> lock(entry->mutex);
-        return entry->stream.append(bytes);
+        Lender lender(*this);
+        return entry->stream.append(bytes, lender);
     } catch (const ServiceError &) {
         // Malformed header, overflow, spool I/O: the stream's state
         // is unrecoverable. Drop it so its spool is reclaimed.
@@ -490,7 +592,8 @@ BatchService::handleStreamClose(const std::string &body)
     TraceStream::CloseInfo info;
     try {
         std::lock_guard<std::mutex> lock(entry->mutex);
-        info = entry->stream.close();
+        Lender lender(*this);
+        info = entry->stream.close(lender);
     } catch (const workload::TraceError &e) {
         eraseStream(id);
         throw ServiceError("stream " + std::to_string(id) + ": " +

@@ -16,8 +16,14 @@
  * Both go through the job table's one SUBMIT path (service/queue.hh):
  * cache hits resolve inside SUBMIT, a cell already pending attaches
  * to it, and only fresh cells reach the daemon's own executor — a
- * priority heap of single cells drained by a core::ThreadPool, each
- * drain loop running pop → simulate → store → resolve. Every batch
+ * priority heap of single cells drained by `threads` drain loops, each
+ * running pop → simulate → store → resolve. The drain loops are the
+ * daemon's whole thread budget: a loop that finds the heap empty lends
+ * itself to the windows of a cell another loop is running, or of a
+ * stream feed (core::Executor), one window at a time, and goes back to
+ * the heap as soon as a cell is queued. A lone miss thus runs its
+ * windows side by side, while at no moment do more than `threads`
+ * cells and lent windows run. Every batch
  * guarantee carries over unchanged, because the service reuses the
  * same BatchRunner::runCell, the same content keys and the same
  * result serialization: a RESULT fetch returns bytes that parse into
@@ -37,6 +43,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,6 +53,7 @@
 
 #include "batch/result_cache.hh"
 #include "batch/runner.hh"
+#include "core/parallel.hh"
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/stream.hh"
@@ -59,17 +67,9 @@ struct ServiceConfig
     std::string socket_path;    //!< required
     std::string spool_dir;      //!< empty = no manifest watcher
     std::string cache_dir;      //!< empty = ResultCache::defaultDir()
-    unsigned threads = 1;       //!< worker count (0 = hardware)
+    unsigned threads = 1;       //!< drain loops (0 = hardware)
     unsigned poll_ms = 200;     //!< spool scan period
     bool verbose = false;       //!< per-event progress on stderr
-
-    /**
-     * Windows fanned out per TRACE-STREAM feed (0 = hardware).
-     * Results are bit-identical for every value (core/parallel.hh),
-     * so this is purely a latency knob for appends that complete
-     * several windows at once.
-     */
-    unsigned stream_threads = 1;
 
     /**
      * Poll period for server-side tailing of a growing trace file
@@ -113,6 +113,14 @@ class BatchService
     std::uint64_t cellsExecuted() const { return counters().cells_executed; }
     std::uint64_t cellsFromCache() const { return counters().cells_cached; }
 
+    /** Windows that idle drain loops ran for other loops' cells and
+     *  for stream feeds (lifetime; testing). */
+    std::uint64_t windowsLent() const { return windows_lent_.load(); }
+
+    /** The most drain loops ever busy at once, each running a cell or
+     *  a lent window (testing: the thread budget). */
+    unsigned peakBusyLoops() const { return peak_busy_.load(); }
+
     const batch::ResultCache &cache() const { return cache_; }
 
   private:
@@ -148,8 +156,8 @@ class BatchService
         TraceStream stream;
 
         StreamEntry(std::uint64_t id, std::string spool_path,
-                    const std::string &directives, unsigned threads)
-            : stream(id, std::move(spool_path), directives, threads)
+                    const std::string &directives)
+            : stream(id, std::move(spool_path), directives)
         {}
     };
 
@@ -170,8 +178,23 @@ class BatchService
     void tailLoop(std::uint64_t id, const std::string &path);
 
     /** Worker-thread body: pop/execute/resolve until the heap
-     *  closes. */
+     *  closes, lending itself to posted windows while it is empty. */
     void drainLoop();
+
+    /**
+     * The drain loops lent to one running cell or stream feed: its
+     * fan-out's offers queue for idle loops, and the ones no loop took
+     * are withdrawn when the lender goes — before the cell's result is
+     * stored or the feed returns.
+     */
+    class Lender;
+
+    /** Run lent windows of @p run_next until none is left or a cell is
+     *  queued (or the heap closed). */
+    void lend(const core::Executor::RunNext &run_next);
+
+    /** Counts one drain loop busy for its scope (peakBusyLoops()). */
+    class BusyLoop;
 
     /** Act on jobs that just finished (spool moves), then settle
      *  them so parked WAITs answer. */
@@ -199,6 +222,23 @@ class BatchService
     std::vector<Task> heap_;
     std::uint64_t next_seq_ = 0;
     bool heap_closed_ = false;
+
+    /** One window fan-out's offer to an idle drain loop. */
+    struct Offer
+    {
+        const Lender *lender = nullptr; //!< withdraws it (identity only)
+        core::Executor::RunNext run_next;
+    };
+    /** Offers in posting order (guarded by heap_mutex_; taken only
+     *  while heap_ is empty). */
+    std::deque<Offer> offers_;
+
+    /** Drain loops, resolved from config_.threads. */
+    const unsigned loops_;
+
+    std::atomic<std::uint64_t> windows_lent_{0};
+    std::atomic<unsigned> busy_{0};
+    std::atomic<unsigned> peak_busy_{0};
 
     /** Streams closed into the cache: executed cells too (the
      *  daemon's share of the counter line). */

@@ -25,8 +25,7 @@ using workload::TraceFormat;
  * problems as BatchError; the stream-specific shape checks live here.
  */
 core::DeloreanConfig
-streamConfig(std::uint64_t id, const std::string &directives,
-             unsigned host_threads)
+streamConfig(std::uint64_t id, const std::string &directives)
 {
     batch::ManifestDirectives d;
     try {
@@ -60,7 +59,6 @@ streamConfig(std::uint64_t id, const std::string &directives,
             "STREAM-OPEN: confidence-driven early stopping replays "
             "shuffled windows and needs the whole trace up front; "
             "streams require exact mode (confidence=0)");
-    config.host_threads = host_threads == 0 ? 1 : host_threads;
     return config;
 }
 
@@ -241,18 +239,17 @@ TraceSpool::requireComplete() const
 }
 
 TraceStream::TraceStream(std::uint64_t id, std::string spool_path,
-                         const std::string &directives,
-                         unsigned host_threads)
+                         const std::string &directives)
     : id_(id),
       directives_(directives),
-      config_(streamConfig(id, directives, host_threads)),
+      config_(streamConfig(id, directives)),
       spool_(id, std::move(spool_path),
              config_.schedule.totalInstructions()),
       session_(config_)
 {}
 
 void
-TraceStream::feedReady()
+TraceStream::feedReady(core::Executor &executor)
 {
     if (!spool_.headerDone())
         return;
@@ -270,14 +267,14 @@ TraceStream::feedReady()
     // streamed trace (no header patching).
     spool_.flush();
     workload::FileTrace trace(spool_.path(), false, spool_.records());
-    session_.feedWindows(trace, unsigned(feedable) - fed);
+    session_.feedWindows(trace, unsigned(feedable) - fed, &executor);
 }
 
 TraceStream::AppendInfo
-TraceStream::append(const std::string &bytes)
+TraceStream::append(const std::string &bytes, core::Executor &executor)
 {
     spool_.append(bytes);
-    feedReady();
+    feedReady(executor);
 
     AppendInfo info;
     info.received = spool_.received();
@@ -287,10 +284,10 @@ TraceStream::append(const std::string &bytes)
 }
 
 TraceStream::CloseInfo
-TraceStream::close()
+TraceStream::close(core::Executor &executor)
 {
     spool_.requireComplete();
-    feedReady();
+    feedReady(executor);
 
     CloseInfo info;
     info.result = session_.finish();

@@ -65,8 +65,7 @@ namespace delorean::service
  * ServiceError on anything a session would fatal() on.
  */
 core::DeloreanConfig streamConfig(std::uint64_t id,
-                                  const std::string &directives,
-                                  unsigned host_threads);
+                                  const std::string &directives);
 
 /** Format MRC points as the wire token value "bytes:ratio,...". */
 std::string
@@ -158,13 +157,11 @@ class TraceStream
   public:
     /**
      * Open a stream: parse and validate @p directives (see above) and
-     * create the spool file at @p spool_path. @p host_threads fans
-     * each feed's windows out (ServiceConfig::stream_threads);
-     * results are bit-identical for every value. Throws ServiceError
-     * (or BatchError from the directive parser) on invalid input.
+     * create the spool file at @p spool_path. Throws ServiceError (or
+     * BatchError from the directive parser) on invalid input.
      */
     TraceStream(std::uint64_t id, std::string spool_path,
-                const std::string &directives, unsigned host_threads);
+                const std::string &directives);
 
     TraceStream(const TraceStream &) = delete;
     TraceStream &operator=(const TraceStream &) = delete;
@@ -179,10 +176,12 @@ class TraceStream
     /**
      * Ingest the next chunk — any split, including mid-header and
      * mid-record — and feed every window whose bytes are now
-     * complete. Throws ServiceError on malformed headers or overflow
-     * past the declared record count, TraceError on garbage records.
+     * complete, fanned out over @p executor (the daemon's idle drain
+     * loops; bit-identical for any executor). Throws ServiceError on
+     * malformed headers or overflow past the declared record count,
+     * TraceError on garbage records.
      */
-    AppendInfo append(const std::string &bytes);
+    AppendInfo append(const std::string &bytes, core::Executor &executor);
 
     struct CloseInfo
     {
@@ -196,10 +195,11 @@ class TraceStream
      * partial tail), feeds any remaining windows, and assembles the
      * final result + its offline-equal content key. When the open
      * directives named a livepoints= file, the session's warm state
-     * is also persisted there (DLRNLVP1). Throws ServiceError if the
+     * is also persisted there (DLRNLVP1). Remaining windows fan out
+     * over @p executor like append()'s. Throws ServiceError if the
      * stream is incomplete — it stays open for further appends.
      */
-    CloseInfo close();
+    CloseInfo close(core::Executor &executor);
 
     /** One streamStatusLine() for STATUS polls. */
     std::string statusLine() const;
@@ -211,7 +211,7 @@ class TraceStream
 
   private:
     /** Feed every window whose trace bytes are complete. */
-    void feedReady();
+    void feedReady(core::Executor &executor);
 
     std::uint64_t id_;
     std::string directives_;

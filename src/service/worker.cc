@@ -297,12 +297,11 @@ WorkerLoop::runStreamLease(ServiceClient &client,
     try {
         const std::string spec =
             "stream:" + std::to_string(lease.stream);
-        // host_threads stays at 1: it is excluded from content keys
-        // and every fan-out is bit-identical, so this is purely a
-        // local latency knob — and stream leases are already one per
-        // stream.
+        // Windows stay serial (host_threads 1, no executor): the
+        // worker's other pull loops are parked in LEASE, not idle
+        // here, and stream leases are already one per stream.
         const core::DeloreanConfig config =
-            streamConfig(lease.stream, lease.directives, 1);
+            streamConfig(lease.stream, lease.directives);
 
         // Resume from the committed prefix instead of re-warming from
         // byte zero — the point of migration. Like a batch cell's

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "workload/endian.hh"
+#include "workload/shared_file.hh"
 
 namespace delorean::workload
 {
@@ -25,16 +26,10 @@ constexpr int num_src_mem = 4;
 } // namespace
 
 ChampSimTrace::ChampSimTrace(const std::string &path)
-    : path_(path), in_(path, std::ios::binary)
+    : path_(path),
+      file_(SharedFile::open(path, "ChampSim trace '" + path + "'"))
 {
-    if (!in_)
-        throw TraceError("cannot open ChampSim trace '" + path + "'");
-
-    std::error_code ec;
-    const auto file_size = std::filesystem::file_size(path, ec);
-    if (ec)
-        throw TraceError("ChampSim trace '" + path + "': cannot stat: " +
-                         ec.message());
+    const std::uint64_t file_size = file_->size();
     if (file_size == 0)
         throw TraceError("ChampSim trace '" + path + "' is empty");
     if (file_size % record_size != 0)
@@ -52,15 +47,13 @@ ChampSimTrace::ChampSimTrace(const std::string &path)
 ChampSimTrace::ChampSimTrace(const ChampSimTrace &other)
     : path_(other.path_),
       name_(other.name_),
-      in_(other.path_, std::ios::binary),
+      file_(other.file_),
       num_records_(other.num_records_),
       rec_(other.rec_),
       pending_(other.pending_),
       pending_idx_(other.pending_idx_),
       pos_(other.pos_)
 {
-    if (!in_)
-        throw TraceError("cannot reopen ChampSim trace '" + path_ + "'");
 }
 
 std::unique_ptr<TraceSource>
@@ -86,11 +79,8 @@ ChampSimTrace::rawRecord(std::uint64_t index)
         const std::uint64_t n =
             std::min(chunk_records, num_records_ - index);
         buf_.resize(std::size_t(n) * record_size);
-        in_.clear();
-        in_.seekg(std::streamoff(index * record_size));
-        in_.read(reinterpret_cast<char *>(buf_.data()),
-                 std::streamsize(buf_.size()));
-        if (in_.gcount() != std::streamsize(buf_.size()))
+        if (file_->readAt(index * record_size, buf_.data(),
+                          buf_.size()) != buf_.size())
             throw TraceError("ChampSim trace '" + path_ +
                              "': read error (file shrank under us?)");
         buf_first_ = index;

@@ -34,14 +34,14 @@
  *
  * Replay wraps around at end of file, exactly like ChampSim's own
  * tracereader, so any schedule length works; clone() snapshots the
- * record index plus the pending expansion queue.
+ * record index plus the pending expansion queue, and shares the
+ * original's open file (workload/shared_file.hh).
  */
 
 #ifndef DELOREAN_WORKLOAD_CHAMPSIM_TRACE_HH
 #define DELOREAN_WORKLOAD_CHAMPSIM_TRACE_HH
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,7 +82,7 @@ class ChampSimTrace : public TraceSource
 
     std::string path_;
     std::string name_;
-    std::ifstream in_;
+    std::shared_ptr<const SharedFile> file_;
     std::uint64_t num_records_ = 0;
 
     std::uint64_t rec_ = 0; //!< next record index to expand

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "workload/endian.hh"
+#include "workload/shared_file.hh"
 
 namespace delorean::workload
 {
@@ -169,14 +170,11 @@ TraceWriter::finish()
 
 TraceReader::TraceReader(const std::string &path,
                          InstCount limit_records)
-    : path_(path), in_(path, std::ios::binary)
+    : path_(path),
+      file_(SharedFile::open(path, "trace file '" + path + "'"))
 {
-    if (!in_)
-        throw TraceError("cannot open trace file '" + path + "'");
-
     std::uint8_t fixed[TraceFormat::header_size];
-    in_.read(reinterpret_cast<char *>(fixed), sizeof(fixed));
-    if (in_.gcount() != std::streamsize(sizeof(fixed)))
+    if (file_->readAt(0, fixed, sizeof(fixed)) != sizeof(fixed))
         throw TraceError("trace '" + path + "': truncated header");
 
     if (std::memcmp(fixed, TraceFormat::magic.data(), 8) != 0)
@@ -202,16 +200,12 @@ TraceReader::TraceReader(const std::string &path,
                          std::to_string(name_len) + " exceeds limit");
 
     name_.resize(name_len);
-    in_.read(name_.data(), name_len);
-    if (in_.gcount() != std::streamsize(name_len))
+    if (file_->readAt(TraceFormat::header_size, name_.data(), name_len) !=
+        name_len)
         throw TraceError("trace '" + path + "': truncated header name");
     data_offset_ = TraceFormat::header_size + name_len;
 
-    std::error_code ec;
-    const auto file_size = std::filesystem::file_size(path, ec);
-    if (ec)
-        throw TraceError("trace '" + path + "': cannot stat: " +
-                         ec.message());
+    const std::uint64_t file_size = file_->size();
     if (limit_records > 0) {
         // Prefix mode: the file may still be growing, so only the
         // first limit_records records need to exist — but the header
@@ -250,13 +244,11 @@ TraceReader::TraceReader(const std::string &path,
 TraceReader::TraceReader(const TraceReader &other)
     : path_(other.path_),
       name_(other.name_),
-      in_(other.path_, std::ios::binary),
+      file_(other.file_),
       count_(other.count_),
       pos_(other.pos_),
       data_offset_(other.data_offset_)
 {
-    if (!in_)
-        throw TraceError("cannot reopen trace file '" + path_ + "'");
 }
 
 void
@@ -275,12 +267,8 @@ TraceReader::refill()
     constexpr InstCount chunk_records = 4096;
     const InstCount n = std::min(chunk_records, count_ - pos_);
     buf_.resize(std::size_t(n) * TraceFormat::record_size);
-    in_.clear();
-    in_.seekg(std::streamoff(data_offset_ +
-                             pos_ * TraceFormat::record_size));
-    in_.read(reinterpret_cast<char *>(buf_.data()),
-             std::streamsize(buf_.size()));
-    if (in_.gcount() != std::streamsize(buf_.size()))
+    if (file_->readAt(data_offset_ + pos_ * TraceFormat::record_size,
+                      buf_.data(), buf_.size()) != buf_.size())
         throw TraceError("trace '" + path_ +
                          "': read error (file shrank under us?)");
     buf_first_ = pos_;
@@ -420,8 +408,8 @@ FileTrace::FileTrace(const FileTrace &other)
 std::unique_ptr<TraceSource>
 FileTrace::clone() const
 {
-    // The whole checkpoint is {path, offset}: the reader copy reopens
-    // the file and inherits the validated metadata.
+    // The whole checkpoint is an offset: the reader copy shares the
+    // open file and inherits the validated metadata.
     return std::unique_ptr<TraceSource>(new FileTrace(*this));
 }
 

@@ -25,7 +25,8 @@
  *
  * Records are fixed-width on purpose: instruction @c n lives at byte
  * offset <tt>data_offset + 32 n</tt>, so FileTrace::skip() is a pure
- * seek and clone() snapshots nothing but the position — the properties
+ * seek and clone() snapshots nothing but the position (clones share
+ * the original's descriptor, workload/shared_file.hh) — the properties
  * the Time Traveling passes rely on (a checkpoint store over a file
  * trace costs a handful of integers per checkpoint). A hand-rolled
  * delta/varint packing would roughly halve the file size but would
@@ -51,6 +52,8 @@
 
 namespace delorean::workload
 {
+
+class SharedFile;
 
 /** Any malformed-input or I/O failure in the trace file layer. */
 class TraceError : public std::runtime_error
@@ -150,11 +153,13 @@ class TraceReader
                          InstCount limit_records = 0);
 
     /**
-     * Reopen @p other's file at the same position, reusing its
-     * already-validated header metadata (Time Traveling clones
-     * constantly; re-parsing the header per clone would be pure
-     * waste). The copy owns an independent file handle and a fresh
-     * recordsDecoded() count.
+     * A reader of @p other's open file at the same position, reusing
+     * its already-validated header metadata (Time Traveling clones
+     * constantly; reopening or re-parsing per clone would be pure
+     * waste). The copy shares the descriptor — reads are positioned
+     * pread()s, safe across threads — so it reads the file @p other
+     * opened even if the path was replaced since. It has its own
+     * buffer and a fresh recordsDecoded() count.
      */
     TraceReader(const TraceReader &other);
     TraceReader &operator=(const TraceReader &) = delete;
@@ -191,7 +196,7 @@ class TraceReader
 
     std::string path_;
     std::string name_;
-    std::ifstream in_;
+    std::shared_ptr<const SharedFile> file_;
     InstCount count_ = 0;
     InstCount pos_ = 0;
     std::uint64_t data_offset_ = 0;

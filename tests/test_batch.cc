@@ -823,6 +823,53 @@ TEST(Runner, RerecordGuardDigestsEachFileOncePerGuard)
     EXPECT_NO_THROW(early.check(file_cell));
 }
 
+TEST(Runner, OneUnitPlanSpreadsItsWindowsBitIdentically)
+{
+    // One co-scheduled unit and four threads: the unit pool's idle
+    // workers run the unit's windows. Results and cache entries equal
+    // a threads=1 run's — the entries byte for byte once the measured
+    // wall-clock timings (stored, but outside equality) are cleared.
+    core::DeloreanConfig config = tinyConfig();
+    config.schedule.num_regions = 4;
+    core::DeloreanConfig big = config;
+    big.hier.llc.size = 8 * MiB;
+    const BatchPlan plan({"bzip2"}, {{"small", config}, {"big", big}},
+                         {{"s", config.schedule}}, {"delorean"});
+    ASSERT_EQ(plan.cells().size(), 2u);
+
+    TempPath serial_dir("one_unit_t1"), spread_dir("one_unit_t4");
+    BatchOptions opt;
+    opt.cache_dir = serial_dir.path;
+    const auto serial = BatchRunner::run(plan, opt);
+    opt.cache_dir = spread_dir.path;
+    opt.threads = 4;
+    const auto spread = BatchRunner::run(plan, opt);
+
+    const ResultCache serial_cache(serial_dir.path);
+    const ResultCache spread_cache(spread_dir.path);
+    const auto untimedBytes = [](const ResultCache &cache,
+                                 const CacheKey &key) {
+        auto result = cache.load(key);
+        EXPECT_TRUE(result.has_value());
+        if (!result)
+            return std::string();
+        result->cost.measured() = {};
+        std::ostringstream os(std::ios::binary);
+        writeMethodResult(os, *result);
+        return os.str();
+    };
+    ASSERT_EQ(spread.executed, 2u);
+    ASSERT_EQ(spread.outcomes.size(), serial.outcomes.size());
+    for (std::size_t i = 0; i < plan.cells().size(); ++i) {
+        const auto &key = plan.cells()[i].key;
+        EXPECT_EQ(spread.outcomes[i].result, serial.outcomes[i].result);
+        EXPECT_EQ(spread.outcomes[i].result,
+                  BatchRunner::runCell(plan.cells()[i]));
+        EXPECT_EQ(untimedBytes(spread_cache, key),
+                  untimedBytes(serial_cache, key));
+    }
+}
+
 TEST(ResultCache, GcReclaimsOrphanedTempFiles)
 {
     TempPath dir("orphans");

@@ -40,8 +40,9 @@
  *
  * Streaming warming (TRACE-STREAM, src/service/stream.hh): the
  * streamed-equals-offline pin — a recorded trace streamed at several
- * chunk boundaries (mid-header, mid-record, mid-window; serial and
- * stream_threads=3) closes to a MethodResult bit-identical to the
+ * chunk boundaries (mid-header, mid-record, mid-window; serial, and
+ * fanned out over an idle threads=3 daemon's drain loops) closes to a
+ * MethodResult bit-identical to the
  * offline run, under the offline content key — plus an abuse suite
  * (corrupt ids, bad headers, overflow, mid-record close, append after
  * close) where every case is an error reply and the service stays
@@ -175,9 +176,7 @@ struct ServiceFixture
     std::unique_ptr<BatchService> service;
     std::thread runner;
 
-    explicit ServiceFixture(bool with_spool = false,
-                            unsigned stream_threads = 1,
-                            unsigned threads = 2)
+    explicit ServiceFixture(bool with_spool = false, unsigned threads = 2)
     {
         std::filesystem::create_directories(root.path);
         config.socket_path = root.path + "/srv.sock";
@@ -185,7 +184,6 @@ struct ServiceFixture
         if (with_spool)
             config.spool_dir = root.path + "/spool";
         config.threads = threads;
-        config.stream_threads = stream_threads;
         config.poll_ms = 20; // fast spool polls keep tests snappy
         config.tail_poll_ms = 25; // ...and fast trace-tail polls
         service = std::make_unique<BatchService>(config);
@@ -948,8 +946,9 @@ recordTraceBytes(const std::string &path, std::uint64_t insts)
 // cut mid-header, mid-record, and mid-window — produces a final
 // MethodResult bit-identical (operator==, doubles bitwise) to an
 // offline DeloreanMethod run of the same file, cached under the very
-// key an offline plan expansion computes. Checked serially and with
-// stream_threads=3 (window fan-out must not change any bit).
+// key an offline plan expansion computes. Checked on a one-loop daemon
+// (serial feeds) and on an idle threads=3 daemon, whose drain loops
+// take the feeds' window fan-out (it must not change any bit).
 TEST(Stream, StreamedEqualsOfflineAcrossChunkSplits)
 {
     TempPath trace("stream_trace");
@@ -979,7 +978,7 @@ TEST(Stream, StreamedEqualsOfflineAcrossChunkSplits)
             // A fresh fixture per split: every run must produce (not
             // merely fetch) its result, so a drifting split could
             // never hide behind an earlier run's cache entry.
-            ServiceFixture fixture(false, threads);
+            ServiceFixture fixture(/*with_spool=*/false, threads);
             ServiceClient client(fixture.config.socket_path);
             const std::uint64_t id =
                 client.streamOpen(stream_directives);
@@ -1689,8 +1688,7 @@ TEST(Service, DrainLoopRunsPriorityThenSubmissionOrder)
     // order, then the lowest. A WAIT answers once its job settles and
     // the loop starts the next cell only after that; each cell runs
     // ~0.2 s, so every job still queued is not done when it answers.
-    ServiceFixture fixture(/*with_spool=*/false, /*stream_threads=*/1,
-                           /*threads=*/1);
+    ServiceFixture fixture(/*with_spool=*/false, /*threads=*/1);
     ServiceClient client(fixture.config.socket_path);
     const auto busy = client.submit(busy_manifest);
     const auto order = submitPriorityMix(fixture.config.socket_path);
@@ -1712,8 +1710,7 @@ TEST(Service, ShutdownAbandonsQueuedCellsAndKeepsTheirManifest)
     // Shutdown lets the running cell finish and publish, but the drain
     // loop returns instead of running what is queued: a spool manifest
     // whose cells never ran stays in the spool for the next serve.
-    ServiceFixture fixture(/*with_spool=*/true, /*stream_threads=*/1,
-                           /*threads=*/1);
+    ServiceFixture fixture(/*with_spool=*/true, /*threads=*/1);
     ServiceClient client(fixture.config.socket_path);
     const auto busy = client.submit(busy_manifest);
     const std::string spool = fixture.config.spool_dir;
@@ -1737,6 +1734,56 @@ TEST(Service, ShutdownAbandonsQueuedCellsAndKeepsTheirManifest)
     EXPECT_EQ(fixture.service->cellsExecuted(), 1u);
 }
 
+/** One cell of four windows: the shape of a lone miss. */
+constexpr const char *four_window_manifest =
+    "workload bzip2\n"
+    "config c llc=2MiB\n"
+    "schedule s spacing=1000000 regions=4\n"
+    "methods delorean\n";
+
+TEST(Service, LoneCellSpreadsItsWindowsOverIdleDrainLoops)
+{
+    // Three drain loops, one cell: the two loops that find the heap
+    // empty run some of its windows, and the result does not move.
+    ServiceFixture fixture(/*with_spool=*/false, /*threads=*/3);
+    ServiceClient client(fixture.config.socket_path);
+    const auto info = client.submit(four_window_manifest);
+    ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+    EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
+
+    const auto cell = tinyPlan(four_window_manifest).cells()[0];
+    EXPECT_EQ(client.result(cell.key), batch::BatchRunner::runCell(cell));
+    EXPECT_EQ(fixture.service->cellsExecuted(), 1u);
+    EXPECT_GT(fixture.service->windowsLent(), 0u);
+    EXPECT_LE(fixture.service->peakBusyLoops(), 3u);
+}
+
+TEST(Service, CellsAndLentWindowsShareOneThreadBudget)
+{
+    // Four cells queued on two drain loops: cells come first, and the
+    // loop that empties the heap helps the other's last cell. At no
+    // moment do more than two cells and lent windows run.
+    const char *manifest = "workload bzip2\n"
+                           "config a llc=1MiB\n"
+                           "config b llc=2MiB\n"
+                           "config c llc=4MiB\n"
+                           "config d llc=8MiB\n"
+                           "schedule s spacing=1000000 regions=4\n"
+                           "methods delorean\n";
+    ServiceFixture fixture(/*with_spool=*/false, /*threads=*/2);
+    ServiceClient client(fixture.config.socket_path);
+    const auto info = client.submit(manifest);
+    ASSERT_TRUE(client.waitForJob(info.job, 120.0));
+    EXPECT_STREQ(client.jobStatus(info.job).state(), "done");
+    EXPECT_EQ(fixture.service->cellsExecuted(), 4u);
+    EXPECT_LE(fixture.service->peakBusyLoops(), 2u);
+    const auto plan = tinyPlan(manifest);
+    for (const auto &cell : plan.cells())
+        EXPECT_EQ(client.result(cell.key),
+                  batch::BatchRunner::runCell(cell))
+            << cell.config_name;
+}
+
 TEST(Service, FileReRecordedWhileQueuedFailsTheJob)
 {
     // The drain loop's re-record guard: a file plan is keyed at
@@ -1749,8 +1796,7 @@ TEST(Service, FileReRecordedWhileQueuedFailsTheJob)
         "workload file:" + trace.path + "\n" + stream_directives;
     const batch::CacheKey stale = tinyPlan(manifest.c_str()).cells()[0].key;
 
-    ServiceFixture fixture(/*with_spool=*/false, /*stream_threads=*/1,
-                           /*threads=*/1);
+    ServiceFixture fixture(/*with_spool=*/false, /*threads=*/1);
     ServiceClient client(fixture.config.socket_path);
     const auto busy = client.submit(busy_manifest);
     const auto info = client.submit(manifest);
@@ -3183,7 +3229,7 @@ TEST(Coordinator, TornPrefixHandoffsAreRejectedAndTheStreamStaysLeasable)
     ASSERT_EQ(tokenOf(lease.body, "to"), "2");
     const std::string spool = tokenOf(lease.body, "trace");
     core::DeloreanSession session(
-        streamConfig(batch::parseCount(sid), small_stream_directives, 1));
+        streamConfig(batch::parseCount(sid), small_stream_directives));
     workload::FileTrace master(
         spool, false, batch::parseCount(tokenOf(lease.body, "records")));
     session.feedWindows(master, 2);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -14,6 +15,8 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/dse.hh"
 #include "core/parallel.hh"
@@ -181,6 +184,207 @@ TEST(ParallelMap, SharedPoolCallerWaitsOnlyForItsOwnRange)
     pool.reset(); // runs the late body, which finds nothing to claim
     EXPECT_FALSE(timed_out);
     EXPECT_EQ(out, (std::vector<int>{0, 2, 4, 6, 8, 10, 12, 14}));
+}
+
+// ------------------------------------------------------------ executors
+
+/**
+ * An executor whose helpers are threads a test starts by hand: post()
+ * only records the offers, and runOffers() hands each to a thread of
+ * its own that calls it up to @p budget times.
+ */
+class HeldOffers final : public Executor
+{
+  public:
+    explicit HeldOffers(unsigned helpers) : helpers_(helpers) {}
+
+    unsigned helpers() const override { return helpers_; }
+
+    void
+    post(const RunNext &run_next, unsigned copies) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (unsigned c = 0; c < copies; ++c)
+            offers_.push_back(run_next);
+    }
+
+    std::size_t
+    posted()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return offers_.size();
+    }
+
+    /** Run every offer so far on its own thread, each making at most
+     *  @p budget calls; @return the calls that ran an index. */
+    unsigned
+    runOffers(unsigned budget)
+    {
+        std::vector<RunNext> offers;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            offers.swap(offers_);
+        }
+        std::atomic<unsigned> ran{0};
+        std::vector<std::thread> threads;
+        for (const auto &offer : offers)
+            threads.emplace_back([&, offer] {
+                for (unsigned i = 0; i < budget && offer(); ++i)
+                    ran.fetch_add(1);
+            });
+        for (auto &t : threads)
+            t.join();
+        return ran.load();
+    }
+
+  private:
+    const unsigned helpers_;
+    std::mutex mutex_;
+    std::vector<RunNext> offers_;
+};
+
+/** Which thread ran each index of a fan-out. */
+struct IndexThreads
+{
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::vector<std::thread::id> by_index;
+
+    explicit IndexThreads(std::size_t n) : by_index(n) {}
+
+    void
+    record(std::size_t i)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            by_index[i] = std::this_thread::get_id();
+        }
+        changed.notify_all();
+    }
+
+    /** Distinct threads seen so far (mutex held, or the fan-out
+     *  over). */
+    std::size_t
+    distinct() const
+    {
+        std::vector<std::thread::id> ids;
+        for (const auto id : by_index)
+            if (id != std::thread::id() &&
+                std::find(ids.begin(), ids.end(), id) == ids.end())
+                ids.push_back(id);
+        return ids.size();
+    }
+};
+
+TEST(Executor, IdleHelpersShareTheFanOutAndMatchSerial)
+{
+    // An idle pool takes the offer at once. Each index waits (10 s
+    // guard) until a second thread has run one, so the fan-out cannot
+    // finish on the caller alone.
+    const std::size_t n = 16;
+    const auto serial =
+        parallelMap(n, 1, [](std::size_t i) { return int(i * i); });
+    ThreadPool pool(3);
+    IndexThreads seen(n);
+    std::atomic<bool> timed_out{false};
+    const auto out = parallelMap(pool, n, [&](std::size_t i) {
+        seen.record(i);
+        std::unique_lock<std::mutex> lock(seen.mutex);
+        if (!seen.changed.wait_for(lock, std::chrono::seconds(10),
+                                   [&] { return seen.distinct() > 1; }))
+            timed_out = true;
+        return int(i * i);
+    });
+    EXPECT_FALSE(timed_out.load());
+    EXPECT_EQ(out, serial);
+    EXPECT_GT(seen.distinct(), 1u);
+}
+
+TEST(Executor, BusyExecutorLeavesEveryIndexToTheCaller)
+{
+    // No helper takes the offers before the fan-out ends: the caller
+    // runs every index, and the offers run late find nothing to claim
+    // and never call fn.
+    HeldOffers executor(3);
+    std::atomic<unsigned> calls{0};
+    const auto caller = std::this_thread::get_id();
+    bool off_caller = false;
+    const auto out = parallelMap(executor, 8, [&](std::size_t i) {
+        calls.fetch_add(1);
+        if (std::this_thread::get_id() != caller)
+            off_caller = true;
+        return int(i) + 1;
+    });
+    EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(executor.posted(), 3u);
+    EXPECT_EQ(executor.runOffers(100), 0u);
+    EXPECT_EQ(calls.load(), 8u);
+    EXPECT_FALSE(off_caller);
+}
+
+TEST(Executor, HelperThatStopsBetweenIndicesLeavesTheRestToTheCaller)
+{
+    // One helper runs a single index and stops claiming, as a drain
+    // loop does when a cell is queued. The caller's first index waits
+    // (10 s guard) until that helper has stopped, then runs the rest.
+    HeldOffers executor(1);
+    const std::size_t n = 6;
+    IndexThreads seen(n);
+    std::atomic<bool> helper_done{false};
+    std::atomic<unsigned> helper_ran{0};
+    std::thread helper;
+    const auto caller = std::this_thread::get_id();
+    bool timed_out = false;
+    const auto out = parallelMap(executor, n, [&](std::size_t i) {
+        if (std::this_thread::get_id() == caller && !helper.joinable()) {
+            helper = std::thread([&] {
+                helper_ran = executor.runOffers(1);
+                {
+                    std::lock_guard<std::mutex> lock(seen.mutex);
+                    helper_done = true;
+                }
+                seen.changed.notify_all();
+            });
+            std::unique_lock<std::mutex> lock(seen.mutex);
+            timed_out = !seen.changed.wait_for(
+                lock, std::chrono::seconds(10),
+                [&] { return helper_done.load(); });
+        }
+        seen.record(i);
+        return int(i) * 3;
+    });
+    helper.join();
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(out, (std::vector<int>{0, 3, 6, 9, 12, 15}));
+    EXPECT_EQ(helper_ran.load(), 1u);
+    std::size_t by_caller = 0;
+    for (const auto id : seen.by_index)
+        by_caller += id == caller;
+    EXPECT_EQ(by_caller, n - 1);
+}
+
+TEST(Executor, NoHelpersRunsInlineWithoutPosting)
+{
+    HeldOffers executor(0);
+    const auto out =
+        parallelMap(executor, 5, [](std::size_t i) { return int(i); });
+    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(executor.posted(), 0u);
+}
+
+TEST(RegionParallel, SessionOverAnExecutorMatchesSerial)
+{
+    // The session's one fan-out path: windows over a caller's executor
+    // are bit-identical to host_threads = 1 with no executor.
+    auto trace = workload::makeSpecTrace("bzip2");
+    DeloreanConfig cfg;
+    cfg.schedule.num_regions = 4;
+    cfg.schedule.spacing = 500'000;
+    cfg.hier.llc.size = 2 * MiB;
+    const auto serial = DeloreanMethod::run(*trace, cfg);
+    ThreadPool pool(3);
+    expectIdenticalResults(serial,
+                           DeloreanMethod::run(*trace, cfg, nullptr, &pool));
 }
 
 // ------------------------------------------------------- region fan-out

@@ -415,6 +415,64 @@ TEST(FileTraceSkip, CloneAfterDeepSkipDecodesNothing)
     ASSERT_TRUE(sameInst(snap->next(), t.next()));
 }
 
+TEST(FileTraceClone, ClonesKeepReadingTheFileTheOriginalOpened)
+{
+    // A recording replaced at its path while a cell runs: clones made
+    // afterwards share the original's open file, so they read the first
+    // recording — not the new file at the old header's data offset (a
+    // longer profile name moves the records by two bytes).
+    TempFile path("clone_replaced"), replacement("clone_replacement");
+    const InstCount n = 20'000;
+    recordSpec("bzip2", n, path.path);
+    const FileTrace trace(path.path);
+    recordSpec("omnetpp", n, replacement.path);
+    std::filesystem::rename(replacement.path, path.path);
+
+    auto reference = makeSpecTrace("bzip2");
+    std::vector<Instruction> want;
+    for (InstCount i = 0; i < n; ++i)
+        want.push_back(reference->next());
+    for (const InstCount at : {InstCount(0), InstCount(4'100), n - 100}) {
+        auto clone = trace.clone();
+        clone->skip(at);
+        for (InstCount i = at; i < n; ++i)
+            ASSERT_TRUE(sameInst(clone->next(), want[i])) << at << " " << i;
+    }
+    auto lines = trace.clone();
+    std::vector<Addr> got(n);
+    got.resize(lines->memLines(got.data(), n));
+    std::vector<Addr> expected;
+    for (const auto &inst : want)
+        if (inst.isMem())
+            expected.push_back(lineOf(inst.addr));
+    EXPECT_EQ(got, expected);
+}
+
+TEST(FileTraceClone, ChampSimClonesKeepReadingTheFileTheOriginalOpened)
+{
+    TempFile path("cs_replaced"), copy("cs_reference"),
+        replacement("cs_replacement");
+    writeChampSimWorkload(path.path, 3'000);
+    writeChampSimWorkload(copy.path, 3'000);
+    const ChampSimTrace trace(path.path);
+    const ChampSimTrace reference(copy.path);
+    std::vector<ChampSimRecord> other(5'000);
+    for (std::size_t i = 0; i < other.size(); ++i) {
+        other[i].ip = 0x900000 + 8 * i;
+        other[i].src_mem[0] = 0x50000000 + 64 * i;
+    }
+    writeChampSim(replacement.path, other);
+    std::filesystem::rename(replacement.path, path.path);
+
+    for (int round = 0; round < 3; ++round) {
+        auto clone = trace.clone();
+        auto want = reference.clone();
+        for (int i = 0; i < 8'000; ++i) // wraps the 3,000 records
+            ASSERT_TRUE(sameInst(clone->next(), want->next()))
+                << round << " " << i;
+    }
+}
+
 TEST(FileTraceSkip, OverrunThrows)
 {
     TempFile f("overrun");

@@ -103,7 +103,6 @@ usage()
         stderr,
         "usage: batch_service serve    [--socket S] [--spool DIR]\n"
         "                              [--cache-dir D] [--threads T]\n"
-        "                              [--stream-threads T]\n"
         "                              [--poll-ms M] [--daemon]\n"
         "                              [--log FILE] [--quiet]\n"
         "                              [--worker COORD_SOCK"
@@ -193,9 +192,6 @@ parseCli(int argc, char **argv, int first)
             cli.quota = parseUnsigned(next(), "--quota");
         } else if (arg == "--max-ready") {
             cli.max_ready = parseUnsigned(next(), "--max-ready");
-        } else if (arg == "--stream-threads") {
-            cli.service.stream_threads =
-                parseUnsigned(next(), "--stream-threads");
         } else if (arg == "--plan") {
             cli.plan_file = next();
         } else if (arg == "--chunks") {
