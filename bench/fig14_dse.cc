@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "common.hh"
 #include "core/dse.hh"
@@ -55,6 +56,11 @@ main(int argc, char **argv)
 
     const auto sizes = statmodel::paperLlcSizes();
     const unsigned n_threads = core::ThreadPool::defaultThreads();
+    // One Analyst per host thread: n_threads - 1 pool workers plus the
+    // calling thread.
+    std::unique_ptr<core::ThreadPool> pool;
+    if (n_threads > 1)
+        pool = std::make_unique<core::ThreadPool>(n_threads - 1);
 
     bench::printHeading(
         "Design-space exploration: CPI vs LLC size from one warm-up",
@@ -75,14 +81,12 @@ main(int argc, char **argv)
 
         // The same sweep serially and with one Analyst per host
         // thread: identical points, different wall-clock.
-        cfg.host_threads = 1;
         const auto t0 = Clock::now();
         const auto dse =
             core::DesignSpaceExplorer::run(*trace, cfg, sizes);
         const auto t1 = Clock::now();
-        cfg.host_threads = n_threads;
         const auto dse_mt =
-            core::DesignSpaceExplorer::run(*trace, cfg, sizes);
+            core::DesignSpaceExplorer::run(*trace, cfg, sizes, pool.get());
         const auto t2 = Clock::now();
         checkIdentical(dse, dse_mt);
 

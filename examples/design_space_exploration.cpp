@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <string>
 
 #include "core/dse.hh"
@@ -52,12 +53,16 @@ main(int argc, char **argv)
     }();
     core::DeloreanConfig cfg;
     cfg.schedule.spacing = spacing;
-    cfg.host_threads = threads;
+    // The windows fan out over threads - 1 pool workers plus this
+    // thread.
+    std::unique_ptr<core::ThreadPool> pool;
+    if (threads > 1)
+        pool = std::make_unique<core::ThreadPool>(threads - 1);
 
     const auto sizes = statmodel::paperLlcSizes();
     const auto t0 = std::chrono::steady_clock::now();
     const auto out =
-        core::DesignSpaceExplorer::run(*trace, cfg, sizes);
+        core::DesignSpaceExplorer::run(*trace, cfg, sizes, pool.get());
     const double host_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();

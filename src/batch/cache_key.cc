@@ -262,8 +262,6 @@ KeyBuilder::simConfig(const cpu::DetailedSimConfig &s)
 KeyBuilder &
 KeyBuilder::config(const core::DeloreanConfig &c)
 {
-    // host_threads is excluded by design: bit-identical results for
-    // every value (core/parallel.hh) — it must not fragment the cache.
     str("config");
     hierarchy(c.hier);
     simConfig(c.sim);
@@ -281,9 +279,9 @@ KeyBuilder::config(const core::DeloreanConfig &c)
     u64vec(c.paper_horizons);
     u64(c.paper_vicinity_period);
     // Early stopping shapes which windows contribute to the result, so
-    // every knob is keyed. livepoint_file is excluded like host_threads:
-    // resuming from valid live-points is bit-identical to a fresh
-    // warm-up (src/checkpoint/), so it must not fragment the cache.
+    // every knob is keyed. livepoint_file is excluded: resuming from
+    // valid live-points is bit-identical to a fresh warm-up
+    // (src/checkpoint/), so it must not fragment the cache.
     str("earlystop");
     f64(c.confidence);
     f64(c.target_error);

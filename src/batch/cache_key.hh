@@ -18,12 +18,11 @@
  * scheme plus *file size and content digest* for file-backed workloads
  * (file:/champsim:) — re-recording a path with different content
  * changes the key, so stale entries can never be served (they linger
- * until `batch_run gc`). DeloreanConfig::host_threads is deliberately
- * excluded: results are bit-identical for every value (the
- * core/parallel.hh contract), so it must not fragment the cache.
- * DeloreanConfig::livepoint_file is excluded for the same reason —
+ * until `batch_run gc`). Threads are no config field at all: results
+ * are bit-identical for any executor (the core/parallel.hh contract).
+ * DeloreanConfig::livepoint_file is deliberately excluded —
  * resuming from valid live-points is bit-identical to a fresh warm-up
- * (src/checkpoint/). Display-only fields (cache level names) are
+ * (src/checkpoint/), so it must not fragment the cache. Display-only fields (cache level names) are
  * excluded too. The early-stop knobs (confidence, target_error,
  * window_seed, min_windows) ARE keyed: they change which windows
  * contribute to the result. Adding them moved every key once (the

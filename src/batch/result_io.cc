@@ -1,12 +1,11 @@
 #include "batch/result_io.hh"
 
-#include <bit>
 #include <istream>
 #include <limits>
 #include <ostream>
 
 #include "batch/error.hh"
-#include "workload/endian.hh"
+#include "workload/endian_stream.hh"
 
 namespace delorean::batch
 {
@@ -16,90 +15,27 @@ namespace
 
 namespace le = workload::le;
 
-// Caps that no legitimate record approaches; a reader hitting them is
+// A cap that no legitimate record approaches; a reader hitting it is
 // looking at garbage and must not attempt a huge allocation.
-constexpr std::uint32_t max_string = 1u << 16;
 constexpr std::uint32_t max_count = 1u << 24;
 
-void
-putBytes(std::ostream &os, const void *data, std::size_t n)
+/** The result format's codec messages (workload/endian_stream.hh). */
+struct Codec
 {
-    os.write(static_cast<const char *>(data), std::streamsize(n));
-    if (!os)
-        throw BatchError("result write failed");
-}
-
-void
-putU32(std::ostream &os, std::uint32_t v)
-{
-    std::uint8_t b[4];
-    le::putU32(b, v);
-    putBytes(os, b, 4);
-}
-
-void
-putU64(std::ostream &os, std::uint64_t v)
-{
-    std::uint8_t b[8];
-    le::putU64(b, v);
-    putBytes(os, b, 8);
-}
-
-void
-putF64(std::ostream &os, double v)
-{
-    putU64(os, std::bit_cast<std::uint64_t>(v));
-}
-
-void
-putStr(std::ostream &os, const std::string &s)
-{
-    if (s.size() > max_string)
-        throw BatchError("result write: string too long");
-    putU32(os, std::uint32_t(s.size()));
-    putBytes(os, s.data(), s.size());
-}
-
-void
-getBytes(std::istream &is, void *data, std::size_t n)
-{
-    is.read(static_cast<char *>(data), std::streamsize(n));
-    if (std::size_t(is.gcount()) != n)
-        throw BatchError("result record truncated");
-}
-
-std::uint32_t
-getU32(std::istream &is)
-{
-    std::uint8_t b[4];
-    getBytes(is, b, 4);
-    return le::getU32(b);
-}
-
-std::uint64_t
-getU64(std::istream &is)
-{
-    std::uint8_t b[8];
-    getBytes(is, b, 8);
-    return le::getU64(b);
-}
-
-double
-getF64(std::istream &is)
-{
-    return std::bit_cast<double>(getU64(is));
-}
-
-std::string
-getStr(std::istream &is)
-{
-    const std::uint32_t len = getU32(is);
-    if (len > max_string)
-        throw BatchError("result record: implausible string length");
-    std::string s(len, '\0');
-    getBytes(is, s.data(), len);
-    return s;
-}
+    using Error = BatchError;
+    static constexpr const char *writing = "result write";
+    static constexpr const char *reading = "result record";
+};
+constexpr auto &putBytes = le::putBytes<Codec>;
+constexpr auto &putU32 = le::putU32<Codec>;
+constexpr auto &putU64 = le::putU64<Codec>;
+constexpr auto &putF64 = le::putF64<Codec>;
+constexpr auto &putStr = le::putStr<Codec>;
+constexpr auto &getBytes = le::getBytes<Codec>;
+constexpr auto &getU32 = le::getU32<Codec>;
+constexpr auto &getU64 = le::getU64<Codec>;
+constexpr auto &getF64 = le::getF64<Codec>;
+constexpr auto &getStr = le::getStr<Codec>;
 
 void
 putHeader(std::ostream &os, std::uint32_t kind)

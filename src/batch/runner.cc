@@ -34,9 +34,8 @@ coSchedulable(const BatchCell &cell)
 
 /**
  * Cells in one co-scheduled group must share everything that shapes
- * the group's decode pass: the trace, the region schedule, the
- * Explorer geometry and the thread fan-out
- * (core::DeloreanMethod::runGroup's contract). The hierarchy, detailed
+ * the group's decode pass: the trace, the region schedule and the
+ * Explorer geometry (core::DeloreanMethod::runGroup's contract). The hierarchy, detailed
  * simulator and cost model may differ freely — they are per-cell.
  */
 std::string
@@ -50,7 +49,6 @@ groupKey(const BatchCell &cell)
     key += '|' + std::to_string(s.region_len);
     key += '|' + std::to_string(s.detailed_warming);
     key += '|' + std::to_string(c.paper_vicinity_period);
-    key += '|' + std::to_string(c.host_threads);
     for (const auto h : c.paper_horizons)
         key += ',' + std::to_string(h);
     return key;

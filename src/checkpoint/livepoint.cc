@@ -1,7 +1,6 @@
 #include "checkpoint/livepoint.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -12,7 +11,7 @@
 
 #include "base/intmath.hh"
 #include "core/session.hh"
-#include "workload/endian.hh"
+#include "workload/endian_stream.hh"
 #include "workload/trace_registry.hh"
 
 namespace delorean::checkpoint
@@ -25,104 +24,29 @@ namespace le = workload::le;
 
 // Caps no legitimate live-point approaches; a reader hitting one is
 // looking at garbage and must not attempt a huge allocation.
-constexpr std::uint32_t max_string = 1u << 16;
 constexpr std::uint32_t max_count = 1u << 24;
 constexpr std::uint32_t max_sub_buckets = 1u << 16;
 
-void
-putBytes(std::ostream &os, const void *data, std::size_t n)
+/** The live-point format's codec messages
+ *  (workload/endian_stream.hh). */
+struct Codec
 {
-    os.write(static_cast<const char *>(data), std::streamsize(n));
-    if (!os)
-        throw CheckpointError("live-point write failed");
-}
-
-void
-putU8(std::ostream &os, std::uint8_t v)
-{
-    putBytes(os, &v, 1);
-}
-
-void
-putU32(std::ostream &os, std::uint32_t v)
-{
-    std::uint8_t b[4];
-    le::putU32(b, v);
-    putBytes(os, b, 4);
-}
-
-void
-putU64(std::ostream &os, std::uint64_t v)
-{
-    std::uint8_t b[8];
-    le::putU64(b, v);
-    putBytes(os, b, 8);
-}
-
-void
-putF64(std::ostream &os, double v)
-{
-    putU64(os, std::bit_cast<std::uint64_t>(v));
-}
-
-void
-putStr(std::ostream &os, const std::string &s)
-{
-    if (s.size() > max_string)
-        throw CheckpointError("live-point write: string too long");
-    putU32(os, std::uint32_t(s.size()));
-    putBytes(os, s.data(), s.size());
-}
-
-void
-getBytes(std::istream &is, void *data, std::size_t n)
-{
-    is.read(static_cast<char *>(data), std::streamsize(n));
-    if (std::size_t(is.gcount()) != n)
-        throw CheckpointError("live-point file truncated");
-}
-
-std::uint8_t
-getU8(std::istream &is)
-{
-    std::uint8_t v;
-    getBytes(is, &v, 1);
-    return v;
-}
-
-std::uint32_t
-getU32(std::istream &is)
-{
-    std::uint8_t b[4];
-    getBytes(is, b, 4);
-    return le::getU32(b);
-}
-
-std::uint64_t
-getU64(std::istream &is)
-{
-    std::uint8_t b[8];
-    getBytes(is, b, 8);
-    return le::getU64(b);
-}
-
-double
-getF64(std::istream &is)
-{
-    return std::bit_cast<double>(getU64(is));
-}
-
-std::string
-getStr(std::istream &is)
-{
-    const std::uint32_t len = getU32(is);
-    if (len > max_string)
-        throw CheckpointError(
-            "live-point file: implausible string length");
-    std::string s(len, '\0');
-    getBytes(is, s.data(), len);
-    return s;
-}
+    using Error = CheckpointError;
+    static constexpr const char *writing = "live-point write";
+    static constexpr const char *reading = "live-point file";
+};
+constexpr auto &putBytes = le::putBytes<Codec>;
+constexpr auto &putU8 = le::putU8<Codec>;
+constexpr auto &putU32 = le::putU32<Codec>;
+constexpr auto &putU64 = le::putU64<Codec>;
+constexpr auto &putF64 = le::putF64<Codec>;
+constexpr auto &putStr = le::putStr<Codec>;
+constexpr auto &getBytes = le::getBytes<Codec>;
+constexpr auto &getU8 = le::getU8<Codec>;
+constexpr auto &getU32 = le::getU32<Codec>;
+constexpr auto &getU64 = le::getU64<Codec>;
+constexpr auto &getF64 = le::getF64<Codec>;
+constexpr auto &getStr = le::getStr<Codec>;
 
 void
 putHistogram(std::ostream &os, const LogHistogram &hist)

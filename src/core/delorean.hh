@@ -51,17 +51,6 @@ struct DeloreanConfig : sampling::MethodConfig
      */
     std::uint64_t paper_vicinity_period = 100'000;
 
-    /**
-     * Host worker threads for region-level fan-out of the warm-up and
-     * Analyst passes (core/parallel.hh), on a pool local to each feed.
-     * 1 = serial (default), 0 = one per hardware thread. Unused when
-     * the caller passes an Executor to run on (DeloreanSession's
-     * feeds): its helpers set the fan-out instead. Results are
-     * bit-identical for every value; this knob trades host cores for
-     * wall-clock only.
-     */
-    unsigned host_threads = 1;
-
     // --- Confidence-driven early stopping -------------------------------
     /**
      * Requested confidence level in percent (e.g. 95, 99.7). 0
@@ -93,10 +82,9 @@ struct DeloreanConfig : sampling::MethodConfig
 
     /**
      * Optional path to a DLRNLVP1 live-point file recorded for this
-     * workload/config (src/checkpoint/). Excluded from the cache key
-     * like host_threads: resuming from valid live-points is
-     * bit-identical to a fresh warm-up, so it must not fragment the
-     * cache.
+     * workload/config (src/checkpoint/). Excluded from the cache key:
+     * resuming from valid live-points is bit-identical to a fresh
+     * warm-up, so it must not fragment the cache.
      */
     std::string livepoint_file;
 
@@ -166,8 +154,8 @@ class DeloreanMethod
      * DeloreanSession carrying all of them, so each window's Explorer
      * reference stream is decoded ONCE for every config. The configs
      * must share the schedule, Explorer geometry (paper_horizons,
-     * paper_vicinity_period), host_threads, exact mode
-     * (confidence == 0) and no live-point file — grouping is an
+     * paper_vicinity_period), exact mode (confidence == 0) and no
+     * live-point file — grouping is an
      * execution strategy only, so results (and any caching of them)
      * are bit-identical per config to a solo run(). Windows fan out
      * over @p executor when given.

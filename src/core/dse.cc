@@ -11,7 +11,8 @@ namespace delorean::core
 DesignSpaceExplorer::Output
 DesignSpaceExplorer::run(const workload::TraceSource &master,
                          const DeloreanConfig &base,
-                         const std::vector<std::uint64_t> &llc_sizes)
+                         const std::vector<std::uint64_t> &llc_sizes,
+                         Executor *executor)
 {
     fatal_if(llc_sizes.empty(), "DSE needs at least one LLC size");
 
@@ -27,7 +28,7 @@ DesignSpaceExplorer::run(const workload::TraceSource &master,
         *std::min_element(llc_sizes.begin(), llc_sizes.end());
     DeloreanSession session(std::move(configs),
                             base.hier.withLlcSize(min_size));
-    session.feedWindows(master, session.windowsTotal());
+    session.feedWindows(master, session.windowsTotal(), executor);
 
     const WarmupArtifacts shared =
         DeloreanMethod::assembleArtifacts(base, session.warmWindows());

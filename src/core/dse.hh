@@ -65,10 +65,13 @@ class DesignSpaceExplorer
      * @param base configuration whose LLC size is overridden per point;
      *        the Scout's lukewarm filter uses the smallest LLC so key
      *        sets are valid for every configuration.
+     * @param executor runs the windows' fan-out (inline when null);
+     *        the points are bit-identical either way.
      */
     static Output run(const workload::TraceSource &master,
                       const DeloreanConfig &base,
-                      const std::vector<std::uint64_t> &llc_sizes);
+                      const std::vector<std::uint64_t> &llc_sizes,
+                      Executor *executor = nullptr);
 };
 
 } // namespace delorean::core

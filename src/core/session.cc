@@ -73,8 +73,6 @@ DeloreanSession::DeloreanSession(
                              lead.paper_vicinity_period,
                      "DeloreanSession: configs disagree on Explorer "
                      "geometry");
-            fatal_if(c.host_threads != lead.host_threads,
-                     "DeloreanSession: configs disagree on host_threads");
             fatal_if(c.confidence > 0.0 || !c.livepoint_file.empty(),
                      "DeloreanSession: shared passes require exact mode "
                      "without live-points");
@@ -233,7 +231,7 @@ DeloreanSession::feed(const workload::TraceSource &master,
 
     // Windows are independent: each fuses its warm-up and Analyst
     // passes into one unit, and parallelMap folds by index, so results
-    // stay bit-identical under any executor or host_threads.
+    // stay bit-identical under any executor, or none.
     const unsigned first = windowsFed();
     const auto window = [&](std::size_t i) {
         const unsigned r = order_[first + i];
@@ -246,7 +244,7 @@ DeloreanSession::feed(const workload::TraceSource &master,
         return w;
     };
     auto windows = executor ? parallelMap(*executor, n, window)
-                            : parallelMap(n, lead.host_threads, window);
+                            : parallelMap(n, 1, window);
 
     // Fold in feed order; the stop rule may discard the batch's tail.
     const std::uint64_t need =

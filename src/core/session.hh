@@ -28,15 +28,15 @@
  * Analyst passes stay per config. With a shared Scout hierarchy (design
  * space exploration, paper §3.3) one Scout and one Explorer chain feed
  * every config's Analyst instead. Either way every config must share
- * the schedule, Explorer geometry and host_threads, in exact mode with
- * no live-point file.
+ * the schedule and Explorer geometry, in exact mode with no live-point
+ * file.
  *
  * Each feed fans its windows out in one parallelMap call
  * (core/parallel.hh). A caller with threads to lend passes its
  * Executor — BatchRunner::run its unit pool, the batch daemon its idle
  * drain loops — and the windows share that thread budget; with no
- * executor, host_threads sizes a pool local to the feed. Either way
- * the results are bit-identical to the serial feed.
+ * executor the feed runs inline. Either way the results are
+ * bit-identical to the serial feed.
  *
  * The contract that makes streaming trustworthy (pinned by
  * tests/test_session.cc and tests/test_service.cc):
@@ -135,8 +135,8 @@ class DeloreanSession
      * Run Scout + Explorers + Analyst for the next @p n windows of the
      * feed order, reading from @p master via @p checkpoints (which must
      * cover the windows' positions), or fewer if the stop rule fires
-     * first. Windows fan out over @p executor's helpers, or across
-     * host_threads when it is null, with bit-identical results.
+     * first. Windows fan out over @p executor's helpers, or run inline
+     * when it is null, with bit-identical results.
      * @p master must present the same name() on every feed (the
      * benchmark identity of the session).
      */

@@ -27,9 +27,9 @@
  * identically true. Structs carrying it keep their *defaulted*
  * operator== meaningful (parallel-vs-serial and cached-vs-direct runs
  * still compare equal bitwise on every modeled statistic), and the
- * batch cache key never sees timings at all — like
- * DeloreanConfig::host_threads, they are an artifact of the run, not an
- * input to it (docs/performance.md).
+ * batch cache key never sees timings at all — like the threads a run
+ * fans out over, they are an artifact of the run, not an input to it
+ * (docs/performance.md).
  */
 
 #ifndef DELOREAN_PROFILING_HOTPATH_HH

@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <iomanip>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "batch/error.hh"
 #include "batch/plan.hh"
@@ -65,18 +68,6 @@ require(bool ok, const char *what)
 {
     if (!ok)
         throw batch::BatchError(what);
-}
-
-/** Shared STREAM-HANDOFF ack parse ("committed= stored= discarded="). */
-ServiceClient::StreamHandoffInfo
-parseHandoffReply(const std::string &reply)
-{
-    return parseReply("STREAM-HANDOFF", reply,
-                      [](const protocol::KeyValues &kv) {
-                          return ServiceClient::StreamHandoffInfo{
-                              unsigned(kv.count("committed")),
-                              kv.count("stored"), kv.count("discarded")};
-                      });
 }
 
 } // namespace
@@ -273,6 +264,21 @@ ServiceClient::lease(const std::string &worker_name, unsigned wait_ms)
         [&](const protocol::KeyValues &kv) {
             info.lease = kv.count("lease");
             info.deadline_ms = unsigned(kv.count("deadline-ms"));
+            info.stream = kv.count("stream");
+            if (info.stream != 0) {
+                info.from = unsigned(kv.count("from"));
+                info.to = unsigned(kv.count("to"));
+                info.finish = kv.count("finish") != 0;
+                info.records = kv.count("records");
+                info.trace = kv.get("trace").value_or("");
+                info.prefix = kv.get("prefix").value_or("");
+                require(info.lease != 0 && kv.get("to") &&
+                            !info.trace.empty() && !info.prefix.empty() &&
+                            info.to >= info.from,
+                        "incomplete stream lease header");
+                info.idle = false;
+                return info;
+            }
             info.job = kv.count("job");
             for (const auto &v : splitCommas(kv.get("cells").value_or("")))
                 info.cells.push_back(std::size_t(batch::parseCount(v)));
@@ -300,30 +306,33 @@ ServiceClient::renew(std::uint64_t lease)
 }
 
 ServiceClient::CompleteInfo
-ServiceClient::complete(std::uint64_t lease, const std::string &payload)
+ServiceClient::complete(std::uint64_t lease, const std::string &payload,
+                        const std::string &tokens)
 {
-    return completeCall(lease, true, payload);
+    return completeCall(lease, true, payload, tokens);
 }
 
 ServiceClient::CompleteInfo
 ServiceClient::completeError(std::uint64_t lease,
                              const std::string &message)
 {
-    return completeCall(lease, false, message);
+    return completeCall(lease, false, message, "");
 }
 
 ServiceClient::CompleteInfo
 ServiceClient::completeCall(std::uint64_t lease, bool ok,
-                            const std::string &payload)
+                            const std::string &payload,
+                            const std::string &tokens)
 {
-    protocol::writeCompleteRequest(fd_, lease, ok, payload);
+    protocol::writeCompleteRequest(fd_, lease, ok, payload, tokens);
     auto reply = protocol::readReply(fd_);
     if (!reply.ok)
         throw ServiceError("COMPLETE: " + reply.body);
     return parseReply("COMPLETE", reply.body,
                       [](const protocol::KeyValues &kv) {
-                          return CompleteInfo{kv.count("stored"),
-                                              kv.count("discarded")};
+                          return CompleteInfo{
+                              kv.count("stored"), kv.count("discarded"),
+                              unsigned(kv.count("committed"))};
                       });
 }
 
@@ -353,6 +362,60 @@ ServiceClient::streamAppend(std::uint64_t stream,
                                     kv.count("records"),
                                     unsigned(kv.count("windows_fed"))};
         });
+}
+
+ServiceClient::StreamStatus
+ServiceClient::streamFollow(
+    std::uint64_t stream, const std::string &path, unsigned poll_ms,
+    const std::function<void(const StreamStatus &)> &progress)
+{
+    std::uint64_t offset = 0;
+    std::optional<std::uint64_t> prev_size; // at the previous look
+    for (bool first = true;; first = false) {
+        if (!first)
+            std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
+        std::error_code ec;
+        const std::uint64_t size = std::filesystem::file_size(path, ec);
+        if (ec) {
+            // Not created yet: following may start before the
+            // recorder's first write. Once seen, a vanished file can
+            // never complete the stream.
+            if (prev_size)
+                throw ServiceError("stream " + std::to_string(stream) +
+                                   ": trace '" + path +
+                                   "' vanished while being followed");
+            continue;
+        }
+        // Stability gate: only bytes that already existed at the
+        // previous look are sent, so a recorder's half-flushed tail is
+        // never fed. A file that stopped growing drains completely on
+        // the next look.
+        const std::uint64_t target =
+            prev_size ? std::min(size, *prev_size) : 0;
+        prev_size = size;
+        if (target <= offset)
+            continue;
+        std::ifstream in(path, std::ios::binary);
+        in.seekg(std::streamoff(offset));
+        while (offset < target) {
+            std::string bytes(
+                std::size_t(std::min<std::uint64_t>(max_append,
+                                                    target - offset)),
+                '\0');
+            in.read(bytes.data(), std::streamsize(bytes.size()));
+            if (!in)
+                throw ServiceError("stream " + std::to_string(stream) +
+                                   ": short read from trace '" + path +
+                                   "'");
+            (void)streamAppend(stream, bytes);
+            offset += bytes.size();
+        }
+        const StreamStatus status = streamStatus(stream);
+        if (progress)
+            progress(status);
+        if (status.complete)
+            return status;
+    }
 }
 
 ServiceClient::StreamCloseInfo
@@ -399,73 +462,6 @@ ServiceClient::streamStatus(std::uint64_t stream)
             require(info.windows_total != 0, "no windows_total");
             return info;
         });
-}
-
-ServiceClient::StreamLeaseInfo
-ServiceClient::streamLease(const std::string &worker_name)
-{
-    const std::string body =
-        worker_name.empty() ? "" : "worker=" + worker_name + "\n";
-    const std::string reply =
-        call(protocol::Opcode::StreamLease, body);
-
-    StreamLeaseInfo info;
-    if (reply == "none\n" || reply == "none")
-        return info;
-    const std::size_t eol = reply.find('\n');
-    info.directives = eol == std::string::npos ? "" : reply.substr(eol + 1);
-    return parseReply(
-        "STREAM-LEASE", reply.substr(0, eol),
-        [&](const protocol::KeyValues &kv) {
-            require(kv.get("lease") && kv.get("stream") && kv.get("to"),
-                    "incomplete stream-lease header");
-            info.lease = kv.count("lease");
-            info.deadline_ms = unsigned(kv.count("deadline-ms"));
-            info.stream = kv.count("stream");
-            info.from = unsigned(kv.count("from"));
-            info.to = unsigned(kv.count("to"));
-            info.finish = kv.count("finish") != 0;
-            info.records = kv.count("records");
-            info.trace = kv.get("trace").value_or("");
-            info.prefix = kv.get("prefix").value_or("");
-            require(!info.trace.empty() && !info.prefix.empty() &&
-                        info.to >= info.from,
-                    "incomplete stream-lease header");
-            info.idle = false;
-            return info;
-        });
-}
-
-ServiceClient::StreamHandoffInfo
-ServiceClient::streamHandoff(std::uint64_t lease, unsigned windows,
-                             const std::string &prefix, double est_cpi,
-                             double ci_error, double mpki,
-                             const std::string &mrc,
-                             const std::string &payload)
-{
-    // %.17g-equivalent precision: the estimates round-trip exactly, so
-    // a migrated stream's STATUS shows the same digits an unmigrated
-    // one would.
-    std::ostringstream os;
-    os << "lease=" << lease << " status=ok windows=" << windows
-       << " prefix=" << (prefix.empty() ? "-" : prefix)
-       << std::setprecision(17) << " est_cpi=" << est_cpi
-       << " ci_error=" << ci_error << " mpki=" << mpki;
-    if (!mrc.empty())
-        os << " mrc=" << mrc;
-    os << "\n" << payload;
-    return parseHandoffReply(
-        call(protocol::Opcode::StreamHandoff, os.str()));
-}
-
-ServiceClient::StreamHandoffInfo
-ServiceClient::streamHandoffError(std::uint64_t lease,
-                                  const std::string &message)
-{
-    const std::string body = "lease=" + std::to_string(lease) +
-                             " status=error\n" + message;
-    return parseHandoffReply(
-        call(protocol::Opcode::StreamHandoff, body));
 }
 
 std::string

@@ -28,6 +28,7 @@
 #define DELOREAN_SERVICE_CLIENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,15 +64,14 @@ struct ServiceStats : ServiceCounters
 
 /**
  * Delay before retry @p attempt (0-based): capped exponential
- * backoff with deterministic jitter, for the loops that still retry
- * on a timer — a worker reconnecting after a ServiceError and the
- * CLI's `stream --tail` STATUS polls. Job waits and idle workers
- * park on the server instead (WAIT, LEASE wait_ms). The base doubles
- * per attempt and saturates at @p cap_ms; jitter only ever
- * *subtracts* (up to a quarter of the delay), so the cap is a true
- * upper bound — the property tests/test_service.cc pins. @p seed
- * decorrelates concurrent pollers (e.g. the job id) without any
- * global RNG state.
+ * backoff with deterministic jitter, for the one loop that still
+ * retries on a timer — a worker reconnecting after a ServiceError.
+ * Job waits and idle workers park on the server instead (WAIT, LEASE
+ * wait_ms). The base doubles per attempt and saturates at @p cap_ms;
+ * jitter only ever *subtracts* (up to a quarter of the delay), so the
+ * cap is a true upper bound — the property tests/test_service.cc
+ * pins. @p seed decorrelates concurrent retriers (e.g. the pull
+ * thread) without any global RNG state.
  */
 unsigned pollBackoffMs(unsigned attempt, unsigned base_ms,
                        unsigned cap_ms, std::uint64_t seed);
@@ -86,7 +86,11 @@ class ServiceClient
         std::uint64_t cells = 0;
     };
 
-    /** What LEASE came back with (idle == true means no work). */
+    /**
+     * What LEASE came back with (idle == true means no work): a work
+     * unit, or a stream window range when the header carried a
+     * stream= token (stream != 0).
+     */
     struct LeaseInfo
     {
         bool idle = true;
@@ -97,7 +101,17 @@ class ServiceClient
         /** The coordinator's content keys, parallel to cells; the
          *  worker verifies its re-expansion reproduces them. */
         std::vector<batch::CacheKey> keys;
-        std::string manifest; //!< the owning job's manifest text
+        /** The owning job's manifest text, or a stream's open
+         *  directives. */
+        std::string manifest;
+
+        std::uint64_t stream = 0;  //!< stream id; 0 = a work unit
+        unsigned from = 0;         //!< windows already committed
+        unsigned to = 0;           //!< feed [from, to)
+        bool finish = false;       //!< also produce the final result
+        std::uint64_t records = 0; //!< spooled records safe to read
+        std::string trace;  //!< spool path (shared filesystem)
+        std::string prefix; //!< committed DLRNLVP1 path, "-" = none
     };
 
     /** What COMPLETE came back with. */
@@ -105,6 +119,7 @@ class ServiceClient
     {
         std::uint64_t stored = 0;    //!< results that won first write
         std::uint64_t discarded = 0; //!< duplicates acked + dropped
+        unsigned committed = 0; //!< a stream's committed windows now
     };
 
     /** Connect to the service at @p socket_path; throws ServiceError. */
@@ -154,10 +169,10 @@ class ServiceClient
     bool waitForJob(std::uint64_t job, double timeout_s);
 
     /**
-     * Pull one work unit from a coordinator (fleet workers only).
-     * With @p wait_ms > 0 the coordinator parks the request until a
-     * unit is ready, a stream window becomes leasable or the wait
-     * passes; 0 answers at once.
+     * Pull one unit of fleet work from a coordinator (fleet workers
+     * only): a ready work unit, else a stream's leasable window range.
+     * With @p wait_ms > 0 the coordinator parks the request until
+     * either is ready or the wait passes; 0 answers at once.
      */
     LeaseInfo lease(const std::string &worker_name = "",
                     unsigned wait_ms = 0);
@@ -165,10 +180,17 @@ class ServiceClient
     /** Extend a live lease. @return the fresh validity in ms. */
     unsigned renew(std::uint64_t lease);
 
-    /** Return serialized MethodResult records (unit order) for a
-     *  lease; payloads past the frame cap stream in chunks. */
+    /**
+     * Return a lease's results: serialized MethodResult records (a
+     * unit's in unit order, a stream finish lease's one record, none
+     * for a stream prefix lease); payloads past the frame cap stream
+     * in chunks. @p tokens are a stream lease's extra header tokens
+     * (windows= prefix= est_cpi= ci_error= mpki= mrc=, see
+     * protocol.hh), empty for a unit.
+     */
     CompleteInfo complete(std::uint64_t lease,
-                          const std::string &payload);
+                          const std::string &payload,
+                          const std::string &tokens = "");
 
     /** Report a failed lease with a diagnostic instead of results. */
     CompleteInfo completeError(std::uint64_t lease,
@@ -215,56 +237,32 @@ class ServiceClient
     StreamAppendInfo streamAppend(std::uint64_t stream,
                                   const std::string &bytes);
 
+    /**
+     * Follow the DLRNTRC1 file at @p path, which a recorder may still
+     * be writing, into open stream @p stream: every @p poll_ms look at
+     * the file and append only the bytes that already existed at the
+     * previous look (a two-observation stability gate, so a
+     * recorder's half-flushed tail is never sent), in slices of at
+     * most max_append. A file that does not exist yet is waited for.
+     * After each append @p progress (if set) sees the stream's STATUS;
+     * @return that STATUS once every declared record is in
+     * (complete), ready for streamClose(). Throws ServiceError when
+     * the file vanishes after it was seen (the stream stays open) or
+     * an append fails.
+     */
+    StreamStatus streamFollow(
+        std::uint64_t stream, const std::string &path, unsigned poll_ms,
+        const std::function<void(const StreamStatus &)> &progress = {});
+
+    /** Largest STREAM-APPEND body the CLI and streamFollow() send: well
+     *  under the 64 MiB frame cap. */
+    static constexpr std::size_t max_append = 32u << 20;
+
     /** Close a complete stream; its result is cached under .key. */
     StreamCloseInfo streamClose(std::uint64_t stream);
 
     /** Poll the running estimate of an open stream. */
     StreamStatus streamStatus(std::uint64_t stream);
-
-    /** What STREAM-LEASE came back with (idle == no stream work). */
-    struct StreamLeaseInfo
-    {
-        bool idle = true;
-        std::uint64_t lease = 0;
-        unsigned deadline_ms = 0;
-        std::uint64_t stream = 0;
-        unsigned from = 0;      //!< windows already committed
-        unsigned to = 0;        //!< feed [from, to)
-        bool finish = false;    //!< also produce the final result
-        std::uint64_t records = 0; //!< spooled records safe to read
-        std::string trace;      //!< spool path (shared filesystem)
-        std::string prefix;     //!< committed DLRNLVP1 path, "-" = none
-        std::string directives; //!< the stream's open directives
-    };
-
-    /** What STREAM-HANDOFF came back with. */
-    struct StreamHandoffInfo
-    {
-        unsigned committed = 0;      //!< stream's committed windows now
-        std::uint64_t stored = 0;    //!< handoff won first write
-        std::uint64_t discarded = 0; //!< stale duplicate acked
-    };
-
-    /** Pull one stream work unit from a coordinator (fleet workers). */
-    StreamLeaseInfo streamLease(const std::string &worker_name = "");
-
-    /**
-     * Report a stream lease's outcome. @p prefix is the worker's
-     * DLRNLVP1 file covering windows [0, @p windows) ("-" on a finish
-     * lease, which ships @p payload — the serialized MethodResult —
-     * instead). @p mrc is a pre-rendered formatMrcPoints() token value
-     * (empty = omit).
-     */
-    StreamHandoffInfo streamHandoff(std::uint64_t lease,
-                                    unsigned windows,
-                                    const std::string &prefix,
-                                    double est_cpi, double ci_error,
-                                    double mpki, const std::string &mrc,
-                                    const std::string &payload);
-
-    /** Report a failed stream lease with a diagnostic. */
-    StreamHandoffInfo streamHandoffError(std::uint64_t lease,
-                                         const std::string &message);
 
     /** Raw serialized record bytes for @p key (result_io format). */
     std::string resultBytes(const batch::CacheKey &key);
@@ -289,8 +287,8 @@ class ServiceClient
      */
     void interrupt();
 
-    /** pollBackoffMs band of the timer-driven retries: 25 ms doubling
-     *  up to 1 s. */
+    /** pollBackoffMs band of worker reconnects: 25 ms doubling up to
+     *  1 s. */
     static constexpr unsigned poll_base_ms = 25;
     static constexpr unsigned poll_cap_ms = 1000;
 
@@ -300,7 +298,8 @@ class ServiceClient
 
     /** Shared body of complete()/completeError() (chunked framing). */
     CompleteInfo completeCall(std::uint64_t lease, bool ok,
-                              const std::string &payload);
+                              const std::string &payload,
+                              const std::string &tokens);
 
     int fd_ = -1;
 };

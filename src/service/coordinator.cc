@@ -31,6 +31,7 @@ constexpr std::size_t max_retained_expired = 1024;
 
 Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)), cache_(config_.cache_dir),
+      spool_dir_(cache_.dir() + "/fleet-streams"),
       jobs_(cache_,
             [this](ServiceCounters &jobs, FleetStats &fleet) {
                 addCounters(jobs, fleet);
@@ -130,10 +131,6 @@ Coordinator::handle(const protocol::Request &request,
         return handleStreamAppend(request.body);
       case protocol::Opcode::StreamClose:
         return handleStreamClose(request.body);
-      case protocol::Opcode::StreamLease:
-        return handleStreamLease(request.body);
-      case protocol::Opcode::StreamHandoff:
-        return handleStreamHandoff(request.body);
       default:
         break;
     }
@@ -252,15 +249,12 @@ Coordinator::handleLease(const std::string &body)
     for (;;) {
         const auto now = Clock::now();
         sweepExpiredLocked(now);
+        // Units first: a stream window waits for every ready unit.
         if (auto reply = grantUnitLocked(worker))
             return std::move(*reply);
-        // "none" also when a stream window is leasable: the worker's
-        // STREAM-LEASE takes it next.
-        if (shutdown_ || now >= until ||
-            std::any_of(streams_.begin(), streams_.end(),
-                        [](const auto &entry) {
-                            return entry.second.leasable().has_value();
-                        }))
+        if (auto reply = grantStreamLocked(worker))
+            return std::move(*reply);
+        if (shutdown_ || now >= until)
             return protocol::Reply::success("none\n");
         // Sleep to the earliest lease deadline at most: its expiry
         // re-queues a unit with no other request arriving.
@@ -269,6 +263,21 @@ Coordinator::handleLease(const std::string &body)
                        ? until
                        : std::min(until, deadlines_.top().first));
     }
+}
+
+protocol::Reply
+Coordinator::grantLocked(Lease lease, const std::string &shape)
+{
+    armDeadlineLocked(lease);
+    const std::uint64_t id = lease.id;
+    leases_.emplace(id, std::move(lease));
+    protocol::Reply reply = protocol::Reply::success(
+        "lease=" + std::to_string(id) +
+        " deadline-ms=" + std::to_string(config_.lease_ms) + " " + shape);
+    // A worker that died while its LEASE was parked never reads the
+    // grant: return the lease at once instead of at its deadline.
+    reply.undelivered = [this, id] { returnUndelivered(id); };
+    return reply;
 }
 
 std::optional<protocol::Reply>
@@ -290,14 +299,11 @@ Coordinator::grantUnitLocked(const std::string &worker)
         lease.id = next_lease_++;
         lease.unit = std::move(live);
         lease.worker = worker;
-        armDeadlineLocked(lease);
         ++fleet_.leases_granted;
         ++fleet_.units_leased;
 
         std::ostringstream os;
-        os << "lease=" << lease.id
-           << " deadline-ms=" << config_.lease_ms
-           << " job=" << lease.unit.job << " cells=";
+        os << "job=" << lease.unit.job << " cells=";
         for (std::size_t i = 0; i < lease.unit.indices.size(); ++i)
             os << (i ? "," : "") << lease.unit.indices[i];
         os << " keys=";
@@ -312,9 +318,50 @@ Coordinator::grantUnitLocked(const std::string &worker)
                          worker.empty() ? "worker" : worker.c_str(),
                          (unsigned long long)lease.unit.job,
                          lease.unit.indices.size());
-        const std::uint64_t lease_id = lease.id;
-        leases_.emplace(lease_id, std::move(lease));
-        return protocol::Reply::success(os.str());
+        return grantLocked(std::move(lease), os.str());
+    }
+    return std::nullopt;
+}
+
+std::optional<protocol::Reply>
+Coordinator::grantStreamLocked(const std::string &worker)
+{
+    for (auto &[sid, stream] : streams_) {
+        const auto range = stream.leasable();
+        if (!range)
+            continue;
+        const auto [to, finish] = *range;
+
+        stream.spool->flush();
+        Lease lease;
+        lease.id = next_lease_++;
+        lease.kind = LeaseKind::Stream;
+        lease.worker = worker;
+        lease.stream = sid;
+        lease.from = stream.committed;
+        lease.to = to;
+        lease.finish = finish;
+        stream.leased = true;
+        stream.lease_id = lease.id;
+        ++fleet_.stream_leases;
+
+        std::ostringstream os;
+        os << "stream=" << sid << " from=" << lease.from
+           << " to=" << lease.to
+           << " finish=" << (finish ? 1 : 0)
+           << " records=" << stream.spool->records()
+           << " trace=" << stream.spool->path() << " prefix="
+           << (stream.committed > 0 ? stream.prefix_path : "-") << "\n"
+           << stream.directives;
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] stream lease %llu -> %s "
+                         "(stream %llu, windows [%u, %u)%s)\n",
+                         (unsigned long long)lease.id,
+                         worker.empty() ? "worker" : worker.c_str(),
+                         (unsigned long long)sid, lease.from, lease.to,
+                         finish ? ", finish" : "");
+        return grantLocked(std::move(lease), os.str());
     }
     return std::nullopt;
 }
@@ -339,9 +386,27 @@ Coordinator::handleRenew(const std::string &body)
         "deadline-ms=" + std::to_string(config_.lease_ms) + "\n");
 }
 
+namespace
+{
+
+/** The COMPLETE reply; committed is 0 for a unit. */
+protocol::Reply
+completed(std::uint64_t stored, std::uint64_t discarded,
+          unsigned committed)
+{
+    return protocol::Reply::success(
+        "stored=" + std::to_string(stored) +
+        " discarded=" + std::to_string(discarded) +
+        " committed=" + std::to_string(committed) + "\n");
+}
+
+} // namespace
+
 protocol::Reply
 Coordinator::handleComplete(const std::string &body)
 {
+    // Parse the header and every record before taking mutex_: only
+    // the lease lookup and the first-write claims need the lock.
     const protocol::KeyValues header(body);
     const auto id_text = header.get("lease");
     const auto status = header.get("status");
@@ -350,92 +415,300 @@ Coordinator::handleComplete(const std::string &body)
         return protocol::Reply::error(
             "COMPLETE: malformed header (want lease=<id> "
             "status=ok|error)");
-    const std::uint64_t id = batch::parseCount(*id_text);
+    Completion done;
+    done.lease = batch::parseCount(*id_text);
+    done.ok = *status == "ok";
+    done.windows = unsigned(header.count("windows"));
+    done.prefix = header.get("prefix").value_or("-");
+    // Workers write "<spool>.lvp.<lease>" into the spool directory.
+    // Only such a file, named for this lease, is the coordinator's to
+    // validate, install or remove; a prefix= naming any other path
+    // counts as no prefix, and that file is left alone.
+    const std::filesystem::path named(done.prefix);
+    const std::string own = ".lvp." + std::to_string(done.lease);
+    const std::string file = named.filename().string();
+    if (named.parent_path().string() != spool_dir_ ||
+        file.size() < own.size() ||
+        file.compare(file.size() - own.size(), own.size(), own) != 0)
+        done.prefix = "-";
+    done.est_cpi = header.real("est_cpi");
+    done.ci_error = header.real("ci_error");
+    done.mpki = header.real("mpki");
+    done.mrc = header.get("mrc").value_or("");
     const std::size_t eol = body.find('\n');
     const std::string payload =
         eol == std::string::npos ? "" : body.substr(eol + 1);
+    if (!done.ok) {
+        done.error = payload;
+    } else {
+        // The records are self-delimiting; the lease says how many
+        // there must be.
+        try {
+            std::istringstream is(payload, std::ios::binary);
+            while (is.peek() != std::char_traits<char>::eof())
+                done.results.push_back(
+                    batch::readMethodResult(is, /*expect_end=*/false));
+        } catch (const batch::BatchError &e) {
+            done.malformed = e.what();
+        }
+    }
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     sweepExpiredLocked(Clock::now());
-
-    const auto it = leases_.find(id);
+    protocol::Reply reply;
+    const auto it = leases_.find(done.lease);
     if (it == leases_.end()) {
         // A zombie so stale its lease record is gone. Ack: the
         // worker did nothing wrong, and the work was re-run anyway.
-        return protocol::Reply::success("stored=0 discarded=0\n");
+        // Its kind is unknown; windows= marks a stream handoff, acked
+        // as discarded and counted like one of a known lease.
+        const bool handoff = header.get("windows").has_value();
+        if (handoff)
+            ++fleet_.stream_handoffs;
+        reply = completed(0, handoff ? 1 : 0, 0);
+    } else {
+        Lease lease = std::move(it->second);
+        leases_.erase(it);
+        reply = lease.kind == LeaseKind::Stream
+                    ? completeStreamLocked(lease, done, lock)
+                    : completeUnitLocked(lease, done, lock);
     }
-    if (it->second.kind != LeaseKind::Cell)
-        return protocol::Reply::error(
-            "COMPLETE: lease " + *id_text +
-            " is a stream lease; use STREAM-HANDOFF");
-    Lease lease = std::move(it->second);
-    leases_.erase(it);
+    lock.unlock();
+    // An installed prefix was renamed away; what is left is a
+    // rejected, discarded or failed handoff's file, and must not leak.
+    if (done.prefix != "-")
+        std::remove(done.prefix.c_str());
+    return reply;
+}
+
+protocol::Reply
+Coordinator::completeUnitLocked(const Lease &lease, const Completion &done,
+                                std::unique_lock<std::mutex> &lock)
+{
+    const std::vector<batch::CacheKey> &keys = lease.unit.keys;
     if (!lease.expired)
         --fleet_.units_leased;
-
-    std::uint64_t stored = 0, discarded = 0;
-    if (*status == "ok") {
-        // Parse every record up front: a malformed payload must not
-        // resolve a prefix of the unit and then fail the rest.
-        std::vector<sampling::MethodResult> results;
-        try {
-            std::istringstream is(payload, std::ios::binary);
-            for (std::size_t i = 0; i < lease.unit.keys.size(); ++i)
-                results.push_back(
-                    batch::readMethodResult(is, /*expect_end=*/false));
-            if (is.peek() != std::char_traits<char>::eof())
-                throw batch::BatchError(
-                    "trailing bytes after the last record");
-        } catch (const batch::BatchError &e) {
-            if (!lease.expired) {
-                for (const auto &key : lease.unit.keys)
-                    finishJobsLocked(jobs_.resolve(
-                        key, false,
-                        std::string("worker returned a malformed "
-                                    "result payload: ") +
-                            e.what(),
-                        false));
-            }
-            return protocol::Reply::error(
-                std::string("COMPLETE: malformed payload: ") +
-                e.what());
-        }
-        for (std::size_t i = 0; i < lease.unit.keys.size(); ++i) {
-            const batch::CacheKey &key = lease.unit.keys[i];
-            if (!jobs_.pending(key)) {
-                // First write won already: ack and discard (the
-                // zombie-duplicate contract).
-                ++discarded;
-                ++fleet_.results_discarded;
-                continue;
-            }
-            cache_.store(key, results[i]);
-            ++stored;
-            ++fleet_.results_stored;
-            finishJobsLocked(jobs_.resolve(key, true, "", true));
-        }
-    } else {
+    // Fail the unit's cells, except a key a concurrent COMPLETE has
+    // claimed: that COMPLETE resolves it, or fails it if its store
+    // fails, so the first write still wins.
+    const auto failUnclaimed = [&](const std::string &error) {
+        for (const auto &key : keys)
+            if (!claimed_.count(key.hex()))
+                finishJobsLocked(jobs_.resolve(key, false, error, false));
+    };
+    if (!done.ok) {
         // Execution failed on the worker. Only an *active* lease may
         // fail cells — a zombie's error must not poison a re-lease
         // that might still succeed.
-        if (!lease.expired) {
-            for (const auto &key : lease.unit.keys)
-                finishJobsLocked(jobs_.resolve(key, false, payload, false));
-        } else {
-            discarded += lease.unit.keys.size();
-            fleet_.results_discarded += lease.unit.keys.size();
+        if (lease.expired) {
+            fleet_.results_discarded += keys.size();
+            return completed(0, keys.size(), 0);
         }
+        failUnclaimed(done.error);
+        return completed(0, 0, 0);
+    }
+    std::string malformed = done.malformed;
+    if (malformed.empty() && done.results.size() != keys.size())
+        malformed = std::to_string(done.results.size()) +
+                    " records for " + std::to_string(keys.size()) +
+                    " cells";
+    if (!malformed.empty()) {
+        // Nothing is stored: a malformed payload must not resolve a
+        // part of the unit and then fail the rest.
+        if (!lease.expired)
+            failUnclaimed("worker returned a malformed result payload: " +
+                          malformed);
+        return protocol::Reply::error("COMPLETE: malformed payload: " +
+                                      malformed);
+    }
+
+    // Claim each key still pending and not claimed by a concurrent
+    // COMPLETE: the first write wins, and a later copy (a zombie's
+    // duplicate) is acked and discarded.
+    std::uint64_t discarded = 0;
+    std::vector<std::size_t> claimed;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (!jobs_.pending(keys[i]) ||
+            !claimed_.insert(keys[i].hex()).second) {
+            ++discarded;
+            ++fleet_.results_discarded;
+            continue;
+        }
+        claimed.push_back(i);
+    }
+
+    // Store outside the lock, then resolve: stores precede resolve(),
+    // which JobQueue's re-probe relies on. A failed store fails its
+    // cells instead of leaving them pending with no lease.
+    lock.unlock();
+    std::vector<std::string> failures(claimed.size());
+    for (std::size_t c = 0; c < claimed.size(); ++c) {
+        try {
+            cache_.store(keys[claimed[c]], done.results[claimed[c]]);
+        } catch (const std::exception &e) {
+            failures[c] = e.what();
+        }
+    }
+    lock.lock();
+    std::uint64_t stored = 0;
+    for (std::size_t c = 0; c < claimed.size(); ++c) {
+        const batch::CacheKey &key = keys[claimed[c]];
+        claimed_.erase(key.hex());
+        const bool ok = failures[c].empty();
+        if (ok) {
+            ++stored;
+            ++fleet_.results_stored;
+        }
+        finishJobsLocked(jobs_.resolve(key, ok, failures[c], ok));
     }
     if (config_.verbose)
         std::fprintf(stderr,
-                     "[coordinator] complete lease %llu: %s "
-                     "stored=%llu discarded=%llu\n",
-                     (unsigned long long)id, status->c_str(),
+                     "[coordinator] complete lease %llu: stored=%llu "
+                     "discarded=%llu\n",
+                     (unsigned long long)lease.id,
                      (unsigned long long)stored,
                      (unsigned long long)discarded);
-    return protocol::Reply::success(
-        "stored=" + std::to_string(stored) +
-        " discarded=" + std::to_string(discarded) + "\n");
+    return completed(stored, discarded, 0);
+}
+
+protocol::Reply
+Coordinator::completeStreamLocked(const Lease &lease,
+                                  const Completion &done,
+                                  std::unique_lock<std::mutex> &lock)
+{
+    ++fleet_.stream_handoffs;
+    auto st = streams_.find(lease.stream);
+    std::string invalid;
+    if (done.ok && !lease.finish && st != streams_.end() &&
+        !st->second.finished && !st->second.failed &&
+        done.windows > st->second.committed && done.prefix != "-") {
+        // Validate the prefix outside the lock against the stream's
+        // own config and spec. The stream stays leased meanwhile, so
+        // its windows are not leased twice.
+        const core::DeloreanConfig config = st->second.config;
+        lock.unlock();
+        try {
+            const auto warm = checkpoint::loadPrefixForRun(
+                "stream:" + std::to_string(lease.stream), config,
+                done.prefix);
+            if (warm.size() != done.windows)
+                throw checkpoint::CheckpointError(
+                    "prefix file covers " + std::to_string(warm.size()) +
+                    " windows, header claims " +
+                    std::to_string(done.windows));
+        } catch (const checkpoint::CheckpointError &e) {
+            invalid = e.what();
+        }
+        lock.lock();
+        st = streams_.find(lease.stream);
+    }
+    // Whatever this COMPLETE commits, the stream's next windows
+    // (appended meanwhile, or the old range after a rejection) may be
+    // leasable now.
+    releaseStreamLocked(lease);
+
+    if (st == streams_.end())
+        return completed(0, 1, 0);
+    FleetStream &stream = st->second;
+    const auto ack = [&](std::uint64_t stored, std::uint64_t discarded) {
+        return completed(stored, discarded, stream.committed);
+    };
+    const auto commit = [&] {
+        fleet_.stream_windows += done.windows - stream.committed;
+        stream.committed = done.windows;
+        stream.est_cpi = done.est_cpi;
+        stream.ci_error = done.ci_error;
+        stream.mpki = done.mpki;
+        stream.mrc = done.mrc;
+    };
+
+    if (!done.ok) {
+        // Only an *active* lease may fail the stream — a zombie's
+        // error must not poison a re-lease that might still succeed.
+        if (!lease.expired && !stream.finished && !stream.failed) {
+            stream.failed = true;
+            stream.error = done.error.empty()
+                               ? "worker reported an execution error"
+                               : done.error;
+            ++fleet_.streams_failed;
+            done_cv_.notify_all();
+            return ack(0, 0);
+        }
+        return ack(0, 1);
+    }
+
+    if (stream.finished || stream.failed)
+        return ack(0, 1);
+
+    const unsigned regions = stream.config.schedule.num_regions;
+    if (lease.finish) {
+        if (done.windows != regions)
+            return protocol::Reply::error(
+                "COMPLETE: finish handoff covers " +
+                std::to_string(done.windows) + " of " +
+                std::to_string(regions) + " windows");
+        // A malformed result leaves the stream leasable; another
+        // worker can finish.
+        if (!done.malformed.empty() || done.results.size() != 1)
+            return protocol::Reply::error(
+                "COMPLETE: malformed result payload: " +
+                (done.malformed.empty()
+                     ? std::to_string(done.results.size()) +
+                           " records for a finish lease"
+                     : done.malformed));
+        commit();
+        stream.result = done.results.front();
+        stream.finished = true;
+        stream.windows = done.windows;
+        ++fleet_.streams_finished;
+        done_cv_.notify_all();
+        if (config_.verbose)
+            std::fprintf(stderr,
+                         "[coordinator] stream %llu finished by "
+                         "lease %llu\n",
+                         (unsigned long long)lease.stream,
+                         (unsigned long long)lease.id);
+        return ack(1, 0);
+    }
+
+    // Prefix handoff: first write per window count wins. Accept any
+    // strict extension of the committed prefix — even from an expired
+    // lease: a window's warm state is a pure function of the trace
+    // bytes and the config, so duplicates are bit-identical.
+    if (done.windows <= stream.committed)
+        return ack(0, 1);
+    if (done.prefix == "-")
+        return protocol::Reply::error(
+            "COMPLETE: prefix handoff without this lease's prefix "
+            "file in the spool directory");
+    if (!invalid.empty()) // the stream stays leasable from the old prefix
+        return protocol::Reply::error("COMPLETE: invalid prefix: " +
+                                      invalid);
+    const std::string dest = stream.spool->path() + ".lvp";
+    if (std::rename(done.prefix.c_str(), dest.c_str()) != 0)
+        return protocol::Reply::error(
+            "COMPLETE: cannot install prefix file '" + done.prefix + "'");
+    commit();
+    stream.prefix_path = dest;
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] stream %llu prefix -> %u windows "
+                     "(lease %llu%s)\n",
+                     (unsigned long long)lease.stream, done.windows,
+                     (unsigned long long)lease.id,
+                     lease.expired ? ", zombie won" : "");
+    return ack(1, 0);
+}
+
+void
+Coordinator::releaseStreamLocked(const Lease &lease)
+{
+    const auto st = streams_.find(lease.stream);
+    if (st != streams_.end() && st->second.leased &&
+        st->second.lease_id == lease.id) {
+        st->second.leased = false;
+        work_cv_.notify_all();
+    }
 }
 
 void
@@ -448,39 +721,41 @@ Coordinator::sweepExpiredLocked(Clock::time_point now)
         if (it == leases_.end() || it->second.expired ||
             it->second.deadline != deadline)
             continue; // completed, already expired, or renewed
-        Lease &lease = it->second;
-        lease.expired = true;
-        ++fleet_.leases_expired;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] lease %llu expired; "
-                         "re-queueing\n",
-                         (unsigned long long)id);
+        expireLocked(it->second);
+    }
+}
 
-        if (lease.kind == LeaseKind::Stream) {
-            // The stream becomes leasable again from its committed
-            // prefix. The record stays (bounded) so the zombie's
-            // eventual handoff is understood — and can even win the
-            // commit if it strictly extends the prefix.
-            const auto st = streams_.find(lease.stream);
-            if (st != streams_.end() && st->second.leased &&
-                st->second.lease_id == id) {
-                st->second.leased = false;
-                work_cv_.notify_all();
-            }
-            retainExpiredLocked(id);
-            continue;
-        }
+void
+Coordinator::expireLocked(Lease &lease)
+{
+    lease.expired = true;
+    ++fleet_.leases_expired;
+    if (config_.verbose)
+        std::fprintf(stderr,
+                     "[coordinator] lease %llu expired; re-queueing\n",
+                     (unsigned long long)lease.id);
+    if (lease.kind == LeaseKind::Stream) {
+        // The stream becomes leasable again from its committed prefix.
+        releaseStreamLocked(lease);
+    } else {
         --fleet_.units_leased;
-
-        // Re-queue what is still unresolved; the lease record stays
-        // (bounded) so the zombie's eventual COMPLETE is understood.
+        // Re-queue what is still unresolved.
         Unit retry = pendingPart(lease.unit);
         if (!retry.indices.empty())
             enqueueUnitLocked(std::move(retry));
-
-        retainExpiredLocked(id);
     }
+    // The record stays (bounded) so the zombie's eventual COMPLETE is
+    // understood — and can even win the first write.
+    retainExpiredLocked(lease.id);
+}
+
+void
+Coordinator::returnUndelivered(std::uint64_t id)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = leases_.find(id);
+    if (it != leases_.end() && !it->second.expired)
+        expireLocked(it->second);
 }
 
 void
@@ -503,7 +778,9 @@ Coordinator::pendingPart(const Unit &unit) const
     live.indices.clear();
     live.keys.clear();
     for (std::size_t i = 0; i < unit.keys.size(); ++i) {
-        if (!jobs_.pending(unit.keys[i]))
+        // A claimed key resolves once its store finishes.
+        if (!jobs_.pending(unit.keys[i]) ||
+            (!claimed_.empty() && claimed_.count(unit.keys[i].hex())))
             continue;
         live.indices.push_back(unit.indices[i]);
         live.keys.push_back(unit.keys[i]);
@@ -569,18 +846,12 @@ Coordinator::removeStreamArtifacts(const FleetStream &stream)
 protocol::Reply
 Coordinator::handleStreamOpen(const std::string &body)
 {
-    if (body.rfind("tail=", 0) == 0)
-        return protocol::Reply::error(
-            "STREAM-OPEN: tail following reads a local file; it needs "
-            "a batch service ('batch_service serve'), not a fleet "
-            "coordinator");
-
-    const std::string dir = cache_.dir() + "/fleet-streams";
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
+    std::filesystem::create_directories(spool_dir_, ec);
     if (ec)
         throw ServiceError("STREAM-OPEN: cannot create spool "
-                           "directory '" + dir + "': " + ec.message());
+                           "directory '" + spool_dir_ + "': " +
+                           ec.message());
 
     std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t id = ++next_stream_;
@@ -589,8 +860,8 @@ Coordinator::handleStreamOpen(const std::string &body)
     stream.directives = body;
     stream.config = streamConfig(id, body);
     stream.spool = std::make_unique<TraceSpool>(
-        id, dir + "/" + std::to_string(id) + ".dlt",
-        stream.config.schedule.totalInstructions());
+        id, spool_dir_ + "/" + std::to_string(id) + ".dlt",
+        stream.config.schedule);
     ++fleet_.streams;
     streams_.emplace(id, std::move(stream));
     if (config_.verbose)
@@ -709,19 +980,13 @@ Coordinator::handleStreamClose(const std::string &body)
     auto node = streams_.extract(it);
     lock.unlock();
     FleetStream &stream = node.mapped();
-    std::string manifest = stream.directives;
-    if (!manifest.empty() && manifest.back() != '\n')
-        manifest += '\n';
-    manifest += "workload file:" + stream.spool->path() + "\n";
     batch::CacheKey key;
     try {
-        const batch::BatchPlan plan = batch::BatchPlan::fromManifestText(
-            manifest, "stream-" + std::to_string(id));
-        key = plan.cells().at(0).key;
-    } catch (const batch::BatchError &e) {
+        key = streamContentKey(id, stream.directives,
+                               stream.spool->path());
+    } catch (const ServiceError &) {
         removeStreamArtifacts(stream);
-        throw ServiceError("stream " + std::to_string(id) + ": " +
-                           e.what());
+        throw;
     }
     cache_.store(key, stream.result);
     removeStreamArtifacts(stream);
@@ -741,246 +1006,12 @@ Coordinator::FleetStream::leasable() const
 {
     if (leased || finished || failed || !spool->headerDone())
         return std::nullopt;
-    const auto &sched = config.schedule;
-    const unsigned feedable = unsigned(std::min<std::uint64_t>(
-        sched.num_regions, spool->records() / sched.spacing));
+    const unsigned feedable = spool->feedable();
     const bool finish = closing && spool->complete();
     if (!finish && feedable <= committed)
         return std::nullopt;
-    return std::make_pair(finish ? sched.num_regions : feedable, finish);
-}
-
-protocol::Reply
-Coordinator::handleStreamLease(const std::string &body)
-{
-    const std::string worker =
-        protocol::KeyValues(body).get("worker").value_or("");
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    sweepExpiredLocked(Clock::now());
-
-    for (auto &[sid, stream] : streams_) {
-        const auto range = stream.leasable();
-        if (!range)
-            continue;
-        const auto [to, finish] = *range;
-
-        stream.spool->flush();
-        Lease lease;
-        lease.id = next_lease_++;
-        lease.kind = LeaseKind::Stream;
-        lease.worker = worker;
-        lease.stream = sid;
-        lease.from = stream.committed;
-        lease.to = to;
-        lease.finish = finish;
-        armDeadlineLocked(lease);
-        stream.leased = true;
-        stream.lease_id = lease.id;
-        ++fleet_.stream_leases;
-
-        std::ostringstream os;
-        os << "lease=" << lease.id
-           << " deadline-ms=" << config_.lease_ms << " stream=" << sid
-           << " from=" << lease.from << " to=" << lease.to
-           << " finish=" << (finish ? 1 : 0)
-           << " records=" << stream.spool->records()
-           << " trace=" << stream.spool->path() << " prefix="
-           << (stream.committed > 0 ? stream.prefix_path : "-") << "\n"
-           << stream.directives;
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] stream lease %llu -> %s "
-                         "(stream %llu, windows [%u, %u)%s)\n",
-                         (unsigned long long)lease.id,
-                         worker.empty() ? "worker" : worker.c_str(),
-                         (unsigned long long)sid, lease.from, lease.to,
-                         finish ? ", finish" : "");
-        const std::uint64_t lease_id = lease.id;
-        leases_.emplace(lease_id, std::move(lease));
-        return protocol::Reply::success(os.str());
-    }
-    return protocol::Reply::success("none\n");
-}
-
-protocol::Reply
-Coordinator::handleStreamHandoff(const std::string &body)
-{
-    const protocol::KeyValues header(body);
-    const auto id_text = header.get("lease");
-    const auto status = header.get("status");
-    if (!id_text || !status ||
-        (*status != "ok" && *status != "error"))
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: malformed header (want lease=<id> "
-            "status=ok|error)");
-    const std::uint64_t id = batch::parseCount(*id_text);
-    const unsigned windows = unsigned(header.count("windows"));
-    const std::string prefix = header.get("prefix").value_or("-");
-    const double est_cpi = header.real("est_cpi");
-    const double ci_error = header.real("ci_error");
-    const double mpki = header.real("mpki");
-    const std::string mrc = header.get("mrc").value_or("");
-    const std::size_t eol = body.find('\n');
-    const std::string payload =
-        eol == std::string::npos ? "" : body.substr(eol + 1);
-
-    // A handoff the coordinator does not commit must not leak the
-    // worker's prefix file.
-    const auto dropPrefix = [&] {
-        if (prefix != "-")
-            std::remove(prefix.c_str());
-    };
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    sweepExpiredLocked(Clock::now());
-    ++fleet_.stream_handoffs;
-
-    const auto lt = leases_.find(id);
-    if (lt == leases_.end()) {
-        // A zombie so stale its lease record is gone; the stream was
-        // re-run anyway.
-        dropPrefix();
-        return protocol::Reply::success(
-            "committed=0 stored=0 discarded=1\n");
-    }
-    if (lt->second.kind != LeaseKind::Stream)
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: lease " + *id_text +
-            " is a work-unit lease; use COMPLETE");
-    const Lease lease = std::move(lt->second);
-    leases_.erase(lt);
-
-    const auto st = streams_.find(lease.stream);
-    if (st == streams_.end()) {
-        dropPrefix();
-        return protocol::Reply::success(
-            "committed=0 stored=0 discarded=1\n");
-    }
-    FleetStream &stream = st->second;
-    if (stream.leased && stream.lease_id == id) {
-        // Whatever this handoff commits, the stream's next windows
-        // (appended meanwhile, or the old range after a rejection)
-        // may be leasable once the lock drops.
-        stream.leased = false;
-        work_cv_.notify_all();
-    }
-
-    const auto ack = [&](std::uint64_t stored,
-                         std::uint64_t discarded) {
-        return protocol::Reply::success(
-            "committed=" + std::to_string(stream.committed) +
-            " stored=" + std::to_string(stored) +
-            " discarded=" + std::to_string(discarded) + "\n");
-    };
-
-    if (*status == "error") {
-        dropPrefix();
-        // Only an *active* lease may fail the stream — a zombie's
-        // error must not poison a re-lease that might still succeed.
-        if (!lease.expired && !stream.finished && !stream.failed) {
-            stream.failed = true;
-            stream.error = payload.empty()
-                               ? "worker reported an execution error"
-                               : payload;
-            ++fleet_.streams_failed;
-            done_cv_.notify_all();
-            return ack(0, 0);
-        }
-        return ack(0, 1);
-    }
-
-    if (stream.finished || stream.failed) {
-        dropPrefix();
-        return ack(0, 1);
-    }
-
-    if (lease.finish) {
-        dropPrefix();
-        if (windows != stream.config.schedule.num_regions)
-            return protocol::Reply::error(
-                "STREAM-HANDOFF: finish handoff covers " +
-                std::to_string(windows) + " of " +
-                std::to_string(stream.config.schedule.num_regions) +
-                " windows");
-        sampling::MethodResult result;
-        try {
-            std::istringstream is(payload, std::ios::binary);
-            result = batch::readMethodResult(is);
-        } catch (const batch::BatchError &e) {
-            // The stream stays leasable; another worker can finish.
-            return protocol::Reply::error(
-                std::string("STREAM-HANDOFF: malformed result "
-                            "payload: ") +
-                e.what());
-        }
-        fleet_.stream_windows += windows - stream.committed;
-        stream.committed = windows;
-        stream.result = std::move(result);
-        stream.finished = true;
-        stream.windows = windows;
-        stream.est_cpi = est_cpi;
-        stream.ci_error = ci_error;
-        stream.mpki = mpki;
-        stream.mrc = mrc;
-        ++fleet_.streams_finished;
-        done_cv_.notify_all();
-        if (config_.verbose)
-            std::fprintf(stderr,
-                         "[coordinator] stream %llu finished by "
-                         "lease %llu\n",
-                         (unsigned long long)lease.stream,
-                         (unsigned long long)id);
-        return ack(1, 0);
-    }
-
-    // Prefix handoff: first write per window count wins. Accept any
-    // strict extension of the committed prefix — even from an expired
-    // lease: a window's warm state is a pure function of the trace
-    // bytes and the config, so duplicates are bit-identical.
-    if (windows <= stream.committed) {
-        dropPrefix();
-        return ack(0, 1);
-    }
-    if (prefix == "-")
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: prefix handoff without a prefix file");
-    try {
-        const auto warm = checkpoint::loadPrefixForRun(
-            "stream:" + std::to_string(lease.stream), stream.config,
-            prefix);
-        if (warm.size() != windows)
-            throw checkpoint::CheckpointError(
-                "prefix file covers " + std::to_string(warm.size()) +
-                " windows, header claims " + std::to_string(windows));
-    } catch (const checkpoint::CheckpointError &e) {
-        dropPrefix();
-        // The stream stays leasable from the old prefix.
-        return protocol::Reply::error(
-            std::string("STREAM-HANDOFF: invalid prefix: ") + e.what());
-    }
-    const std::string dest = stream.spool->path() + ".lvp";
-    if (std::rename(prefix.c_str(), dest.c_str()) != 0) {
-        dropPrefix();
-        return protocol::Reply::error(
-            "STREAM-HANDOFF: cannot install prefix file '" + prefix +
-            "'");
-    }
-    fleet_.stream_windows += windows - stream.committed;
-    stream.committed = windows;
-    stream.prefix_path = dest;
-    stream.est_cpi = est_cpi;
-    stream.ci_error = ci_error;
-    stream.mpki = mpki;
-    stream.mrc = mrc;
-    if (config_.verbose)
-        std::fprintf(stderr,
-                     "[coordinator] stream %llu prefix -> %u windows "
-                     "(lease %llu%s)\n",
-                     (unsigned long long)lease.stream, windows,
-                     (unsigned long long)id,
-                     lease.expired ? ", zombie won" : "");
-    return ack(1, 0);
+    return std::make_pair(finish ? config.schedule.num_regions : feedable,
+                          finish);
 }
 
 } // namespace delorean::service

@@ -10,31 +10,38 @@
  * unchanged. It executes nothing itself: fresh cells form the same
  * co-schedulable work units a local run uses (batch::planWorkUnits),
  * and workers (service/worker.hh, `batch_service serve --worker`) pull
- * them over three opcodes:
+ * every kind of fleet work over three opcodes and one lease state
+ * machine:
  *
- *   LEASE     a unit with a lease id and deadline, the owning job's
- *             manifest, cell indices and content keys (re-expansion on
- *             the worker must reproduce the keys). With wait_ms the
- *             request parks on work_cv_ until a unit is queued or
- *             re-queued, a stream window becomes leasable, or the wait
- *             passes.
+ *   LEASE     a ready unit, with a lease id and deadline, the owning
+ *             job's manifest, cell indices and content keys
+ *             (re-expansion on the worker must reproduce the keys);
+ *             once no unit is ready, a hosted stream's leasable
+ *             window range (below). With wait_ms the request parks on
+ *             work_cv_ until either is ready, or the wait passes.
  *   RENEW     extends a live lease's deadline; workers renew while a
- *             unit runs.
+ *             unit or window range runs.
  *   COMPLETE  returns the serialized MethodResults (chunked past the
  *             frame cap), stored through the coordinator's cache, so a
- *             cell computed on one worker is a hit for every later job.
+ *             cell computed on one worker is a hit for every later job;
+ *             for a stream lease, the handoff below.
  *
  * Leases live in a deadline heap. A parked LEASE sleeps no later than
  * the earliest deadline, so an expired lease is swept and its unit
  * re-leased with no other request arriving; parked requests release
  * mutex_ while they sleep, and shutdown wakes them all. At-least-once
  * execution is safe because cells are content-keyed and idempotent:
- * the first COMPLETE of a key wins the store, and a zombie's late
- * duplicate is acked and discarded. A plan run through N workers,
- * with or without mid-plan deaths, is bit-identical to a serial
- * `batch_run` (pinned in tests/test_service.cc and fleet-smoke CI).
- * SUBMIT is bounded by a per-client quota on in-flight jobs (client =
- * the accepting connection) and a global ready-unit ceiling, both
+ * the first COMPLETE of a key claims it and wins the store, and a
+ * zombie's late duplicate is acked and discarded. COMPLETE parses its
+ * records before taking mutex_ and stores the claimed ones after
+ * releasing it, so file writes never stall other requests; a store
+ * that fails fails its cells, and an active lease's error fails every
+ * cell of its unit but the ones a concurrent COMPLETE claimed. A plan
+ * run through N workers, with or without mid-plan deaths, is
+ * bit-identical to a serial `batch_run` (pinned in
+ * tests/test_service.cc and fleet-smoke CI). SUBMIT is
+ * bounded by a per-client quota on in-flight jobs (client = the
+ * accepting connection) and a global ready-unit ceiling, both
  * answered with an error reply to back off on.
  *
  * Migrating streams
@@ -43,31 +50,34 @@
  * The coordinator also hosts TRACE-STREAMs, but unlike the local
  * service it never feeds a session itself: it only spools the bytes
  * (service/stream.hh TraceSpool) and leases *window ranges* to
- * workers over two more opcodes (wire formats in protocol.hh):
+ * workers through the same LEASE/COMPLETE pair (wire formats in
+ * protocol.hh):
  *
- *   STREAM-LEASE    an idle worker asks for stream work and gets
- *                   [from, to) windows of some stream, the spool path
- *                   to read (shared filesystem), the committed warm
- *                   prefix to resume from (a DLRNLVP1 file, or "-"
- *                   from window 0), and the open directives.
- *   STREAM-HANDOFF  the worker returns either a *longer* warm prefix
- *                   (checkpoint::sessionLivePoints written next to
- *                   the spool) or, for a finish lease, the final
- *                   serialized MethodResult.
+ *   LEASE     (stream shape) [from, to) windows of some stream, the
+ *             spool path to read (shared filesystem), the committed
+ *             warm prefix to resume from (a DLRNLVP1 file, or "-"
+ *             from window 0), and the open directives.
+ *   COMPLETE  (stream shape) the worker returns either a *longer*
+ *             warm prefix (checkpoint::sessionLivePoints written next
+ *             to the spool) or, for a finish lease, the final
+ *             serialized MethodResult. Only a prefix file in the
+ *             spool directory named for the COMPLETE's own lease is
+ *             ever read, installed or removed.
  *
  * Commits are first-write-wins per *window count*: any handoff whose
  * prefix strictly extends the committed one is validated
  * (checkpoint::loadPrefixForRun against the stream's own config and
- * the synthetic spec "stream:<id>") and installed — even from an
- * expired lease, because a window's warm state is a pure function of
- * the trace bytes and the config, so duplicates are bit-identical by
- * construction. A worker that dies mid-lease simply expires; the
- * stream is re-leased from the last committed prefix and the final
- * CLOSE result is bit-identical to an unmigrated or offline run over
- * the same bytes (the content key is computed from the spool, which
- * stays byte-identical to the streamed trace throughout). CLOSE
- * blocks (up to close_wait_ms) until a finish handoff lands, then
- * stores the result under the offline-equal content key.
+ * the synthetic spec "stream:<id>", outside mutex_ while the stream
+ * stays leased) and installed — even from an expired lease, because a
+ * window's warm state is a pure function of the trace bytes and the
+ * config, so duplicates are bit-identical by construction. A worker
+ * that dies mid-lease simply expires; the stream is re-leased from
+ * the last committed prefix and the final CLOSE result is
+ * bit-identical to an unmigrated or offline run over the same bytes
+ * (the content key is computed from the spool, which stays
+ * byte-identical to the streamed trace throughout). CLOSE blocks (up
+ * to close_wait_ms) until a finish handoff lands, then stores the
+ * result under the offline-equal content key.
  */
 
 #ifndef DELOREAN_SERVICE_COORDINATOR_HH
@@ -84,6 +94,7 @@
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "batch/plan.hh"
@@ -168,8 +179,8 @@ class Coordinator
 
     enum class LeaseKind
     {
-        Cell,   //!< a work unit of plan cells (LEASE/COMPLETE)
-        Stream, //!< a window range of a hosted stream (STREAM-*)
+        Cell,   //!< a work unit of plan cells
+        Stream, //!< a window range of a hosted stream
     };
 
     struct Lease
@@ -179,9 +190,9 @@ class Coordinator
         Unit unit;          //!< Cell leases only
         std::string worker;
         Clock::time_point deadline;
-        /** Expired and re-queued; retained so a zombie COMPLETE or
-         *  STREAM-HANDOFF can still be interpreted (and discarded or,
-         *  if it raced the re-lease, win the first write). */
+        /** Expired and re-queued; retained so a zombie COMPLETE can
+         *  still be interpreted (and discarded or, if it raced the
+         *  re-lease, win the first write). */
         bool expired = false;
         /** Stream leases: the leased window range [from, to) of
          *  stream, and whether the worker should finish() it. */
@@ -217,9 +228,8 @@ class Coordinator
 
         /** The windows a lease could take now: {to, finish} for
          *  [committed, to), or nullopt while the stream is leased,
-         *  settled or has no new window. STREAM-LEASE grants exactly
-         *  this, and a parked LEASE answers "none" while any stream
-         *  has it. */
+         *  settled or has no new window. LEASE grants exactly this
+         *  once no unit is ready. */
         std::optional<std::pair<unsigned, bool>> leasable() const;
     };
 
@@ -232,13 +242,51 @@ class Coordinator
     protocol::Reply handleStreamOpen(const std::string &body);
     protocol::Reply handleStreamAppend(const std::string &body);
     protocol::Reply handleStreamClose(const std::string &body);
-    protocol::Reply handleStreamLease(const std::string &body);
-    protocol::Reply handleStreamHandoff(const std::string &body);
 
     /** Lease the best ready unit to @p worker, or nullopt when none
      *  is ready (locked). */
     std::optional<protocol::Reply>
     grantUnitLocked(const std::string &worker);
+
+    /** Lease the first stream's leasable window range to @p worker,
+     *  or nullopt when none has one (locked). */
+    std::optional<protocol::Reply>
+    grantStreamLocked(const std::string &worker);
+
+    /** A COMPLETE's header and, for status=ok, its payload's records,
+     *  parsed before mutex_ is taken. */
+    struct Completion
+    {
+        std::uint64_t lease = 0;
+        bool ok = false;
+        std::string error; //!< status=error's diagnostic
+        std::vector<sampling::MethodResult> results;
+        std::string malformed; //!< why the records did not parse
+        /** Stream leases: windows covered, the worker's prefix file
+         *  ("-" = none) and the running estimate. */
+        unsigned windows = 0;
+        std::string prefix = "-";
+        double est_cpi = 0.0;
+        double ci_error = 0.0;
+        double mpki = 0.0;
+        std::string mrc;
+    };
+
+    /** COMPLETE of unit lease @p lease (erased): claim, then store
+     *  with @p lock released, then resolve. */
+    protocol::Reply completeUnitLocked(const Lease &lease,
+                                       const Completion &done,
+                                       std::unique_lock<std::mutex> &lock);
+
+    /** COMPLETE of stream lease @p lease (erased): fail, finish or
+     *  commit a prefix, validated with @p lock released. */
+    protocol::Reply
+    completeStreamLocked(const Lease &lease, const Completion &done,
+                         std::unique_lock<std::mutex> &lock);
+
+    /** Make @p lease's stream leasable again if @p lease holds it
+     *  (locked). */
+    void releaseStreamLocked(const Lease &lease);
 
     /** Set @p lease's deadline lease_ms from now and push it on the
      *  deadline heap, waking parked LEASEs if it is the earliest
@@ -254,6 +302,20 @@ class Coordinator
     /** Re-queue every lease whose deadline has passed (locked). */
     void sweepExpiredLocked(Clock::time_point now);
 
+    /** Expire active @p lease now: re-queue its unit's pending cells
+     *  or release its stream, and retain the record (locked). */
+    void expireLocked(Lease &lease);
+
+    /** Arm and record @p lease, and answer with its header: the lease
+     *  id and deadline, then @p shape (the rest of either reply
+     *  shape). Returns the lease at once if the worker hung up before
+     *  reading the grant (locked). */
+    protocol::Reply grantLocked(Lease lease, const std::string &shape);
+
+    /** Expire lease @p id if still active: its grant was never
+     *  delivered. */
+    void returnUndelivered(std::uint64_t id);
+
     /** Retain expired lease @p id for zombie replies, bounded
      *  (locked). */
     void retainExpiredLocked(std::uint64_t id);
@@ -261,7 +323,8 @@ class Coordinator
     /** Push @p unit into the ready heap (locked). */
     void enqueueUnitLocked(Unit unit);
 
-    /** @p unit without the members no longer pending (locked). */
+    /** @p unit without the members no longer pending or claimed
+     *  (locked). */
     Unit pendingPart(const Unit &unit) const;
 
     /** Release the quota slots of @p finished jobs, then settle them
@@ -278,10 +341,18 @@ class Coordinator
 
     CoordinatorConfig config_;
     batch::ResultCache cache_;
+    /** Where stream spools live, and workers write their prefix
+     *  files ("<spool>.lvp.<lease>"): the only directory a COMPLETE's
+     *  prefix= may name. */
+    const std::string spool_dir_;
     /** The job table. A key pending there *is* the "needs execution"
      *  state; COMPLETEs for keys no longer pending are duplicates and
      *  are discarded. Always entered with mutex_ held, if at all. */
     JobQueue jobs_;
+
+    /** Hex keys a COMPLETE has claimed and is storing outside mutex_;
+     *  each resolves once its store ends (guarded by mutex_). */
+    std::unordered_set<std::string> claimed_;
 
     mutable std::mutex mutex_;
     std::uint64_t next_lease_ = 1;

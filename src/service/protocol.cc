@@ -97,10 +97,6 @@ opcodeName(Opcode op)
         return "STREAM-APPEND";
       case Opcode::StreamClose:
         return "STREAM-CLOSE";
-      case Opcode::StreamLease:
-        return "STREAM-LEASE";
-      case Opcode::StreamHandoff:
-        return "STREAM-HANDOFF";
       case Opcode::Wait:
         return "WAIT";
     }
@@ -306,8 +302,6 @@ readRequest(int fd)
       case Opcode::StreamOpen:
       case Opcode::StreamAppend:
       case Opcode::StreamClose:
-      case Opcode::StreamLease:
-      case Opcode::StreamHandoff:
       case Opcode::Wait:
         break;
       case Opcode::ResultPart:
@@ -391,10 +385,12 @@ readReply(int fd)
 
 void
 writeCompleteRequest(int fd, std::uint64_t lease, bool ok,
-                     const std::string &payload)
+                     const std::string &payload, const std::string &tokens)
 {
     std::string header = "lease=" + std::to_string(lease) +
                          " status=" + (ok ? "ok" : "error");
+    if (!tokens.empty())
+        header += " " + tokens;
     if (header.size() + sizeof(" more=0\n") - 1 + payload.size() <=
         max_body) {
         Request request;

@@ -43,25 +43,45 @@
  * Fleet opcodes (coordinator/worker; docs/service.md):
  *
  *   LEASE     optional "worker=<name>" and "wait_ms=<t>". Ok body:
- *             "none\n" when idle, else a header line "lease=<id>
- *             deadline-ms=<ms> job=<job> cells=<i,j,...>\n" followed
- *             by the owning job's manifest text; the worker
- *             re-expands the plan (expansion order is part of the
- *             BatchPlan API) and executes the named cells. Without
+ *             "none\n" when idle, else one of two lease shapes. A
+ *             work unit (granted first, while any is ready): a
+ *             header line "lease=<id> deadline-ms=<ms> job=<job>
+ *             cells=<i,j,...> keys=<hex,...>\n" followed by the
+ *             owning job's manifest text; the worker re-expands the
+ *             plan (expansion order is part of the BatchPlan API) and
+ *             executes the named cells. A stream window range: a
+ *             header line "lease=<id> deadline-ms=<ms> stream=<sid>
+ *             from=<window> to=<window> finish=0|1 records=<n>
+ *             trace=<spool path> prefix=<lvp path or ->\n" followed
+ *             by the stream's open directives; the worker resumes the
+ *             session from the DLRNLVP1 prefix (loadPrefixForRun +
+ *             feedWarmWindows) and feeds windows [from, to). Without
  *             wait_ms an idle coordinator answers "none" at once;
- *             with it the request parks until a unit is ready, a
- *             stream window becomes leasable ("none", so the
- *             worker's STREAM-LEASE follows), or the wait passes.
+ *             with it the request parks until a unit or a stream
+ *             window is leasable, or the wait passes.
  *   RENEW     "lease=<id>". Ok body: "deadline-ms=<ms>\n"; error once
  *             the lease expired or was never granted.
- *   COMPLETE  header line "lease=<id> status=ok|error more=0|1\n",
- *             then the payload: concatenated serialized MethodResult
- *             records (batch/result_io.hh) in unit order for ok, the
- *             diagnostic text for error. more=1 moves the payload out
- *             of this frame into a RESULT-PART/RESULT-END stream.
- *             Ok body: "stored=<n> discarded=<m>\n" — a zombie
+ *   COMPLETE  header line "lease=<id> status=ok|error more=0|1", and
+ *             for a stream lease also "windows=<n> prefix=<lvp path
+ *             or -> est_cpi=<f> ci_error=<f> mpki=<f>
+ *             mrc=<bytes>:<ratio>,...", then the payload: for a unit,
+ *             concatenated serialized MethodResult records
+ *             (batch/result_io.hh) in unit order; for a stream finish
+ *             lease its one serialized MethodResult, for a stream
+ *             prefix lease nothing (the prefix file carries the warm
+ *             state); on error the diagnostic text. more=1 moves the
+ *             payload out of this frame into a RESULT-PART/RESULT-END
+ *             stream. Ok body: "stored=<n> discarded=<m>
+ *             committed=<windows>\n" (committed: the stream's
+ *             committed window count, 0 for a unit) — a zombie
  *             worker's duplicate COMPLETE is acked and discarded,
- *             never an error.
+ *             never an error. Under a lease id the coordinator no
+ *             longer knows, the kind is unknown: a header with
+ *             windows= is acked "stored=0 discarded=1 committed=0",
+ *             any other "stored=0 discarded=0 committed=0". A
+ *             prefix= other than a file "*.lvp.<this lease id>" in the
+ *             coordinator's spool directory counts as no prefix; that
+ *             file is never read, moved or removed.
  *   RESULT-PART / RESULT-END
  *             payload chunks of a COMPLETE with more=1 (RESULT-END
  *             carries the final, possibly empty, chunk). Only valid
@@ -90,28 +110,9 @@
  *             same bytes. STATUS with body "stream=<id>" polls the
  *             running estimate of an open stream.
  *
- * Stream-migration opcodes (fleet-hosted streams; docs/service.md):
- *
- *   STREAM-LEASE
- *             optional "worker=<name>". Ok body: "none\n" when no
- *             stream has leasable windows, else a header line
- *             "lease=<id> deadline-ms=<ms> stream=<sid>
- *             from=<window> to=<window> finish=0|1 records=<n>
- *             trace=<spool path> prefix=<lvp path or ->\n" followed by
- *             the stream's directives text. The worker resumes the
- *             session from the DLRNLVP1 prefix (loadPrefixForRun +
- *             feedWarmWindows), feeds windows [from, to), and reports
- *             back via STREAM-HANDOFF.
- *   STREAM-HANDOFF
- *             header line "lease=<id> status=ok|error windows=<n>
- *             prefix=<lvp path or -> est_cpi=<f> ci_error=<f>
- *             mpki=<f> mrc=<bytes>:<ratio>,...\n" followed by the
- *             payload: a serialized MethodResult record when the lease
- *             was a finish lease, the diagnostic text on error, empty
- *             otherwise. Ok body: "committed=<windows> stored=<0|1>
- *             discarded=<0|1>\n" — like COMPLETE, a zombie worker's
- *             duplicate handoff is acked and discarded, never an
- *             error.
+ * Opcodes 14 and 15 (the retired STREAM-LEASE and STREAM-HANDOFF;
+ * stream window ranges now ride LEASE and COMPLETE) are unknown
+ * opcodes: readRequest() rejects them.
  *
  * Replies larger than one frame stream the same way in the other
  * direction: writeReply() splits an oversized body into partial
@@ -197,8 +198,7 @@ enum class Opcode : std::uint32_t
     StreamOpen = 11,
     StreamAppend = 12,
     StreamClose = 13,
-    StreamLease = 14,
-    StreamHandoff = 15,
+    // 14 and 15 are retired (STREAM-LEASE, STREAM-HANDOFF).
     Wait = 16,
 };
 
@@ -295,14 +295,22 @@ struct Reply
      */
     std::function<void()> after_send;
 
+    /**
+     * Run by the server instead of after_send when the reply could
+     * not be written (the peer hung up); never serialized. The
+     * coordinator returns a lease granted to a worker that died while
+     * its LEASE was parked this way.
+     */
+    std::function<void()> undelivered;
+
     static Reply success(std::string payload)
     {
-        return Reply{true, std::move(payload), nullptr};
+        return Reply{true, std::move(payload), nullptr, nullptr};
     }
 
     static Reply error(const std::string &message)
     {
-        return Reply{false, message, nullptr};
+        return Reply{false, message, nullptr, nullptr};
     }
 };
 
@@ -350,10 +358,13 @@ Reply readReply(int fd);
  * more=1 and the payload follows as RESULT-PART frames closed by a
  * RESULT-END — the request-side mirror of the chunked reply path.
  * @p ok selects status=ok (payload = serialized records) versus
- * status=error (payload = diagnostic text).
+ * status=error (payload = diagnostic text). @p tokens are extra
+ * space-separated key=value header tokens (a stream lease's
+ * windows= prefix= est_cpi= ci_error= mpki= mrc=), empty for a unit.
  */
 void writeCompleteRequest(int fd, std::uint64_t lease, bool ok,
-                          const std::string &payload);
+                          const std::string &payload,
+                          const std::string &tokens = "");
 
 } // namespace protocol
 

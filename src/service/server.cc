@@ -271,7 +271,13 @@ SocketServer::serveConnection(int fd, std::uint64_t client)
             } catch (const batch::BatchError &e) {
                 reply = protocol::Reply::error(e.what());
             }
-            protocol::writeReply(fd, reply);
+            try {
+                protocol::writeReply(fd, reply);
+            } catch (const ServiceError &) {
+                if (reply.undelivered)
+                    reply.undelivered();
+                throw;
+            }
             if (reply.after_send)
                 reply.after_send();
         }

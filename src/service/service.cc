@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -194,15 +193,6 @@ BatchService::run()
         requestShutdown();
         if (watch_thread.joinable())
             watch_thread.join();
-        {
-            // No new tailers start once the server is down; join the
-            // survivors (they observe shutdown_ within one poll).
-            std::lock_guard<std::mutex> lock(tailers_mutex_);
-            for (auto &tailer : tailers_)
-                if (tailer.joinable())
-                    tailer.join();
-            tailers_.clear();
-        }
         jobs_.close();
         {
             std::lock_guard<std::mutex> lock(heap_mutex_);
@@ -362,8 +352,6 @@ BatchService::handle(const protocol::Request &request)
       case protocol::Opcode::Lease:
       case protocol::Opcode::Renew:
       case protocol::Opcode::Complete:
-      case protocol::Opcode::StreamLease:
-      case protocol::Opcode::StreamHandoff:
         // A worker pointed at a plain batch service, not a fleet
         // coordinator: tell it precisely what went wrong.
         return protocol::Reply::error(
@@ -417,23 +405,6 @@ BatchService::eraseStream(std::uint64_t id)
 protocol::Reply
 BatchService::handleStreamOpen(const std::string &body)
 {
-    // An optional "tail=<path>" first line puts the stream in tail
-    // mode: the service itself follows the named (growing) trace file
-    // and feeds it, instead of the client shipping bytes over the
-    // socket. The remaining lines are the usual directives.
-    std::string directives = body;
-    std::string tail_path;
-    if (body.rfind("tail=", 0) == 0) {
-        const std::size_t eol = body.find('\n');
-        tail_path = body.substr(5, eol == std::string::npos
-                                       ? std::string::npos
-                                       : eol - 5);
-        directives =
-            eol == std::string::npos ? "" : body.substr(eol + 1);
-        if (tail_path.empty())
-            throw ServiceError("STREAM-OPEN: tail= needs a file path");
-    }
-
     const std::string dir = cache_.dir() + "/streams";
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -449,44 +420,16 @@ BatchService::handleStreamOpen(const std::string &body)
     // Construct outside the map lock: directive parsing and spool
     // creation must not stall unrelated streams.
     auto entry = std::make_shared<StreamEntry>(
-        id, dir + "/" + std::to_string(id) + ".dlt", directives);
+        id, dir + "/" + std::to_string(id) + ".dlt", body);
     {
         std::lock_guard<std::mutex> lock(streams_mutex_);
         streams_.emplace(id, std::move(entry));
     }
-    if (!tail_path.empty()) {
-        std::lock_guard<std::mutex> lock(tailers_mutex_);
-        tailers_.emplace_back(
-            [this, id, tail_path] { tailLoop(id, tail_path); });
-    }
     if (config_.verbose)
-        std::fprintf(stderr, "[service] stream %llu opened%s%s\n",
-                     (unsigned long long)id,
-                     tail_path.empty() ? "" : ", tailing ",
-                     tail_path.c_str());
+        std::fprintf(stderr, "[service] stream %llu opened\n",
+                     (unsigned long long)id);
     return protocol::Reply::success("stream=" + std::to_string(id) +
                                     "\n");
-}
-
-TraceStream::AppendInfo
-BatchService::appendToStream(std::uint64_t id, const std::string &bytes)
-{
-    auto entry = findStream(id);
-    try {
-        std::lock_guard<std::mutex> lock(entry->mutex);
-        Lender lender(*this);
-        return entry->stream.append(bytes, lender);
-    } catch (const ServiceError &) {
-        // Malformed header, overflow, spool I/O: the stream's state
-        // is unrecoverable. Drop it so its spool is reclaimed.
-        eraseStream(id);
-        throw;
-    } catch (const workload::TraceError &e) {
-        // Garbage record bytes surfaced from a window feed.
-        eraseStream(id);
-        throw ServiceError("stream " + std::to_string(id) + ": " +
-                           e.what());
-    }
 }
 
 protocol::Reply
@@ -498,89 +441,28 @@ BatchService::handleStreamAppend(const std::string &body)
             "STREAM-APPEND: missing stream=<id> header line");
     const std::uint64_t id =
         protocol::parseStreamId(body.substr(0, eol), "STREAM-APPEND");
-    const TraceStream::AppendInfo info =
-        appendToStream(id, body.substr(eol + 1));
+    auto entry = findStream(id);
+    TraceStream::AppendInfo info;
+    try {
+        std::lock_guard<std::mutex> lock(entry->mutex);
+        Lender lender(*this);
+        info = entry->stream.append(body.substr(eol + 1), lender);
+    } catch (const ServiceError &) {
+        // Malformed header, overflow, spool I/O: the stream's state
+        // is unrecoverable. Drop it so its spool is reclaimed.
+        eraseStream(id);
+        throw;
+    } catch (const workload::TraceError &e) {
+        // Garbage record bytes surfaced from a window feed.
+        eraseStream(id);
+        throw ServiceError("stream " + std::to_string(id) + ": " +
+                           e.what());
+    }
 
     std::ostringstream os;
     os << "received=" << info.received << " records=" << info.records
        << " windows_fed=" << info.windows_fed << "\n";
     return protocol::Reply::success(os.str());
-}
-
-void
-BatchService::tailLoop(std::uint64_t id, const std::string &path)
-{
-    std::uint64_t offset = 0;
-    std::uint64_t prev_size = 0;
-    bool have_prev = false;
-    bool seen_file = false;
-    for (bool first = true;; first = false) {
-        {
-            // One poll period between looks at the file; shutdown
-            // ends the tail.
-            std::unique_lock<std::mutex> lock(shutdown_mutex_);
-            if (!first)
-                shutdown_cv_.wait_for(
-                    lock, std::chrono::milliseconds(config_.tail_poll_ms),
-                    [&] { return shutdown_; });
-            if (shutdown_)
-                return;
-        }
-        std::error_code ec;
-        const std::uint64_t size =
-            std::filesystem::file_size(path, ec);
-        if (ec) {
-            if (seen_file) {
-                // The recording vanished under us; the stream cannot
-                // complete, so reclaim it (status polls then report
-                // an unknown stream).
-                eraseStream(id);
-                return;
-            }
-            // Not created yet: tailing may legitimately start before
-            // the recorder's first write. Keep polling.
-            continue;
-        }
-        seen_file = true;
-        // Stability gate: only bytes that already existed at the
-        // previous poll are ingested, so a recorder's half-flushed
-        // tail is never fed. A file that stopped growing drains
-        // completely on the next poll.
-        const std::uint64_t target =
-            have_prev ? std::min(size, prev_size) : 0;
-        prev_size = size;
-        have_prev = true;
-        if (target > offset) {
-            std::ifstream in(path, std::ios::binary);
-            std::string bytes(std::size_t(target - offset), '\0');
-            in.seekg(std::streamoff(offset));
-            in.read(bytes.data(), std::streamsize(bytes.size()));
-            if (!in || std::uint64_t(in.gcount()) != bytes.size()) {
-                eraseStream(id);
-                return;
-            }
-            try {
-                appendToStream(id, bytes);
-            } catch (const ServiceError &e) {
-                // Stream discarded (poisoned bytes) or already gone.
-                if (config_.verbose)
-                    std::fprintf(stderr, "[service] tail of %s: %s\n",
-                                 path.c_str(), e.what());
-                return;
-            }
-            offset = target;
-        }
-        // Stop following once every declared byte is in: the client
-        // observes complete=1 via STATUS and issues the CLOSE.
-        try {
-            const auto entry = findStream(id);
-            std::lock_guard<std::mutex> lock(entry->mutex);
-            if (entry->stream.complete())
-                return;
-        } catch (const ServiceError &) {
-            return; // closed or discarded under us
-        }
-    }
 }
 
 protocol::Reply

@@ -48,7 +48,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "batch/result_cache.hh"
@@ -70,15 +69,6 @@ struct ServiceConfig
     unsigned threads = 1;       //!< drain loops (0 = hardware)
     unsigned poll_ms = 200;     //!< spool scan period
     bool verbose = false;       //!< per-event progress on stderr
-
-    /**
-     * Poll period for server-side tailing of a growing trace file
-     * (STREAM-OPEN with a "tail=<path>" first line). Each poll
-     * ingests only bytes that already existed at the *previous* poll
-     * — the same stability gate the manifest watcher applies — so a
-     * recorder's half-written tail is never fed.
-     */
-    unsigned tail_poll_ms = 200;
 };
 
 /**
@@ -167,16 +157,6 @@ class BatchService
     /** Drop @p id (poisoned or closed); its spool file goes with it. */
     void eraseStream(std::uint64_t id);
 
-    /** The shared append path (socket appends and the tail
-     *  follower): feed @p bytes to stream @p id, discarding the
-     *  stream on a poisoning error. Throws ServiceError. */
-    TraceStream::AppendInfo appendToStream(std::uint64_t id,
-                                           const std::string &bytes);
-
-    /** Follow the growing trace at @p path into stream @p id until
-     *  every declared byte is fed, the stream dies, or shutdown. */
-    void tailLoop(std::uint64_t id, const std::string &path);
-
     /** Worker-thread body: pop/execute/resolve until the heap
      *  closes, lending itself to posted windows while it is empty. */
     void drainLoop();
@@ -252,11 +232,6 @@ class BatchService
     std::mutex streams_mutex_;
     std::uint64_t next_stream_ = 0;
     std::map<std::uint64_t, std::shared_ptr<StreamEntry>> streams_;
-
-    /** Tail-follower threads (guarded by tailers_mutex_; joined at
-     *  shutdown). */
-    std::mutex tailers_mutex_;
-    std::vector<std::thread> tailers_;
 };
 
 } // namespace delorean::service

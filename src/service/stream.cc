@@ -62,6 +62,26 @@ streamConfig(std::uint64_t id, const std::string &directives)
     return config;
 }
 
+batch::CacheKey
+streamContentKey(std::uint64_t id, const std::string &directives,
+                 const std::string &spool)
+{
+    std::string manifest = directives;
+    if (!manifest.empty() && manifest.back() != '\n')
+        manifest += '\n';
+    manifest += "workload file:" + spool + "\n";
+    try {
+        return batch::BatchPlan::fromManifestText(
+                   manifest, "stream-" + std::to_string(id))
+            .cells()
+            .at(0)
+            .key;
+    } catch (const batch::BatchError &e) {
+        throw ServiceError("stream " + std::to_string(id) + ": " +
+                           e.what());
+    }
+}
+
 std::string
 formatMrcPoints(const std::vector<std::pair<std::uint64_t, double>> &mrc)
 {
@@ -110,10 +130,10 @@ streamErr(std::uint64_t id)
 } // namespace
 
 TraceSpool::TraceSpool(std::uint64_t id, std::string path,
-                       std::uint64_t min_records)
+                       const sampling::RegionSchedule &schedule)
     : id_(id),
       path_(std::move(path)),
-      min_records_(min_records),
+      schedule_(schedule),
       out_(path_, std::ios::binary | std::ios::trunc)
 {
     if (!out_)
@@ -154,11 +174,12 @@ TraceSpool::parseHeader()
                            std::to_string(TraceFormat::max_name_len));
 
     declared_ = le::getU64(p + 16);
-    if (declared_ < min_records_)
+    const std::uint64_t min_records = schedule_.totalInstructions();
+    if (declared_ < min_records)
         throw ServiceError(
             streamErr(id_) + "trace declares " +
             std::to_string(declared_) + " records; the schedule "
-            "spans " + std::to_string(min_records_));
+            "spans " + std::to_string(min_records));
     if (declared_ >
             (protocol::max_stream - TraceFormat::header_size -
              name_len) / TraceFormat::record_size)
@@ -243,8 +264,7 @@ TraceStream::TraceStream(std::uint64_t id, std::string spool_path,
     : id_(id),
       directives_(directives),
       config_(streamConfig(id, directives)),
-      spool_(id, std::move(spool_path),
-             config_.schedule.totalInstructions()),
+      spool_(id, std::move(spool_path), config_.schedule),
       session_(config_)
 {}
 
@@ -253,12 +273,7 @@ TraceStream::feedReady(core::Executor &executor)
 {
     if (!spool_.headerDone())
         return;
-    const auto &sched = config_.schedule;
-    // Window r only reads the trace up to regionEnd(r) = spacing *
-    // (r+1), so it becomes feedable the moment that many records are
-    // spooled (core/session.hh).
-    const std::uint64_t feedable = std::min<std::uint64_t>(
-        sched.num_regions, spool_.records() / sched.spacing);
+    const unsigned feedable = spool_.feedable();
     const unsigned fed = session_.windowsFed();
     if (feedable <= fed)
         return;
@@ -267,7 +282,7 @@ TraceStream::feedReady(core::Executor &executor)
     // streamed trace (no header patching).
     spool_.flush();
     workload::FileTrace trace(spool_.path(), false, spool_.records());
-    session_.feedWindows(trace, unsigned(feedable) - fed, &executor);
+    session_.feedWindows(trace, feedable - fed, &executor);
 }
 
 TraceStream::AppendInfo
@@ -293,21 +308,8 @@ TraceStream::close(core::Executor &executor)
     info.result = session_.finish();
     info.windows = session_.windowsFed();
 
-    // The spool is byte-identical to the trace the client streamed,
-    // which is what makes the content key below equal an offline run's
-    // key for the original file.
     spool_.flush();
-    std::string manifest = directives_;
-    if (!manifest.empty() && manifest.back() != '\n')
-        manifest += '\n';
-    manifest += "workload file:" + spool_.path() + "\n";
-    try {
-        const batch::BatchPlan plan = batch::BatchPlan::fromManifestText(
-            manifest, "stream-" + std::to_string(id_));
-        info.key = plan.cells().at(0).key;
-    } catch (const batch::BatchError &e) {
-        throw ServiceError(streamErr(id_) + e.what());
-    }
+    info.key = streamContentKey(id_, directives_, spool_.path());
 
     if (!config_.livepoint_file.empty()) {
         // The live-point key hashes the workload's *content* identity,

@@ -44,6 +44,7 @@
 #ifndef DELOREAN_SERVICE_STREAM_HH
 #define DELOREAN_SERVICE_STREAM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -66,6 +67,17 @@ namespace delorean::service
  */
 core::DeloreanConfig streamConfig(std::uint64_t id,
                                   const std::string &directives);
+
+/**
+ * The content cache key of stream @p id's result: @p directives plus
+ * a workload line naming the @p spool, expanded as a one-cell plan.
+ * The spool is byte-identical to the streamed trace, so this equals
+ * the key an offline run of the original file computes. Throws
+ * ServiceError.
+ */
+batch::CacheKey streamContentKey(std::uint64_t id,
+                                 const std::string &directives,
+                                 const std::string &spool);
 
 /** Format MRC points as the wire token value "bytes:ratio,...". */
 std::string
@@ -93,12 +105,13 @@ class TraceSpool
 {
   public:
     /**
-     * Create the spool at @p path. @p min_records rejects headers
-     * declaring fewer records than the schedule needs (at parse time,
-     * not at the first starved feed). Throws ServiceError.
+     * Create the spool at @p path for a stream run on @p schedule.
+     * Headers declaring fewer records than the schedule needs are
+     * rejected at parse time, not at the first starved feed. Throws
+     * ServiceError.
      */
     TraceSpool(std::uint64_t id, std::string path,
-               std::uint64_t min_records);
+               const sampling::RegionSchedule &schedule);
 
     /** Removes the spool file. */
     ~TraceSpool();
@@ -123,6 +136,17 @@ class TraceSpool
     std::uint64_t received() const { return received_; }
     std::size_t pendingBytes() const { return pending_.size(); }
 
+    /**
+     * Windows whose records are all spooled: window r only reads the
+     * trace up to regionEnd(r) = spacing * (r + 1) (core/session.hh),
+     * so min(regions, records / spacing) of them are feedable.
+     */
+    unsigned feedable() const
+    {
+        return unsigned(std::min<std::uint64_t>(
+            schedule_.num_regions, records_ / schedule_.spacing));
+    }
+
     /** Every declared record spooled, nothing dangling. */
     bool complete() const
     {
@@ -141,7 +165,7 @@ class TraceSpool
 
     std::uint64_t id_;
     std::string path_;
-    std::uint64_t min_records_;
+    sampling::RegionSchedule schedule_;
 
     std::ofstream out_;
     std::string pending_;          //!< bytes not yet spooled
@@ -205,9 +229,6 @@ class TraceStream
     std::string statusLine() const;
 
     std::uint64_t id() const { return id_; }
-
-    /** All declared bytes arrived (the tail follower's stop signal). */
-    bool complete() const { return spool_.complete(); }
 
   private:
     /** Feed every window whose trace bytes are complete. */

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <iomanip>
 #include <memory>
 #include <sstream>
 
@@ -174,18 +175,16 @@ WorkerLoop::pullLoop(unsigned thread_index)
             if (!client)
                 client = std::make_unique<ServiceClient>(
                     config_.coordinator);
-            // Parks on the coordinator until a unit is ready or a
-            // stream window becomes leasable: no idle polling.
+            // Parks on the coordinator until a unit or a stream window
+            // is ready: no idle polling.
             const auto lease = parkedLease(thread_index, *client, name);
             reconnect_attempt = 0;
-            if (lease.idle) {
-                if (stop_.load())
-                    return;
-                // No work unit; a suspended stream may have windows
-                // to feed (docs/service.md, "Stream migration").
-                const auto stream = client->streamLease(name);
-                if (!stream.idle)
-                    runStreamLease(*client, stream, name);
+            if (lease.idle)
+                continue;
+            if (lease.stream != 0) {
+                // A suspended stream's windows (docs/service.md,
+                // "Stream migration").
+                runStreamLease(*client, lease, name);
                 continue;
             }
 
@@ -291,17 +290,17 @@ WorkerLoop::pullLoop(unsigned thread_index)
 
 void
 WorkerLoop::runStreamLease(ServiceClient &client,
-                           const ServiceClient::StreamLeaseInfo &lease,
+                           const ServiceClient::LeaseInfo &lease,
                            const std::string &name)
 {
     try {
         const std::string spec =
             "stream:" + std::to_string(lease.stream);
-        // Windows stay serial (host_threads 1, no executor): the
-        // worker's other pull loops are parked in LEASE, not idle
-        // here, and stream leases are already one per stream.
+        // Windows stay serial (no executor): the worker's other pull
+        // loops are parked in LEASE, not idle here, and stream leases
+        // are already one per stream.
         const core::DeloreanConfig config =
-            streamConfig(lease.stream, lease.directives);
+            streamConfig(lease.stream, lease.manifest);
 
         // Resume from the committed prefix instead of re-warming from
         // byte zero — the point of migration. Like a batch cell's
@@ -382,17 +381,24 @@ WorkerLoop::runStreamLease(ServiceClient &client,
         }
         if (killed_.load())
             return; // crashed: lease expires, stream re-leases
-        (void)client.streamHandoff(lease.lease, lease.to, path,
-                                   est.mean_cpi, est.ci_error, est.mpki,
-                                   formatMrcPoints(est.mrc),
-                                   result_bytes);
+        // %.17g-equivalent precision: the estimates round-trip
+        // exactly, so a migrated stream's STATUS shows the same digits
+        // an unmigrated one would.
+        std::ostringstream tokens;
+        tokens << "windows=" << lease.to << " prefix=" << path
+               << std::setprecision(17) << " est_cpi=" << est.mean_cpi
+               << " ci_error=" << est.ci_error << " mpki=" << est.mpki;
+        const std::string mrc = formatMrcPoints(est.mrc);
+        if (!mrc.empty())
+            tokens << " mrc=" << mrc;
+        (void)client.complete(lease.lease, result_bytes, tokens.str());
         stream_leases_completed_.fetch_add(1);
     } catch (const ServiceError &) {
         throw; // transport: reconnect in pullLoop
     } catch (const std::exception &e) {
         if (killed_.load())
             return;
-        (void)client.streamHandoffError(lease.lease, e.what());
+        (void)client.completeError(lease.lease, e.what());
         stream_leases_failed_.fetch_add(1);
     }
 }

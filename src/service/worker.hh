@@ -8,8 +8,8 @@
  *  1. LEASE pulls a work unit: lease id, deadline, the owning job's
  *     manifest text, plus the unit's cell indices and content keys.
  *     The LEASE carries wait_ms=protocol::max_wait_ms, so an idle
- *     worker parks on the coordinator until a unit is queued or
- *     re-queued instead of polling.
+ *     worker parks on the coordinator until a unit or a stream window
+ *     is ready instead of polling.
  *  2. The worker re-expands the manifest with the same BatchPlan code
  *     the coordinator used and verifies each leased cell's key matches
  *     the key the lease carries. A mismatch (a file-backed workload
@@ -29,20 +29,20 @@
  *     (chunked past the frame cap by the protocol layer).
  *
  * Workers also execute *stream* leases (docs/service.md, "Stream
- * migration"): when no work unit is available, STREAM-LEASE may hand
- * out a window range of a fleet-hosted TRACE-STREAM. The worker
- * resumes from the stream's committed DLRNLVP1 prefix (instead of
- * re-warming from byte zero), feeds the leased windows from the
- * shared spool file, and STREAM-HANDOFFs either a longer prefix or —
- * on a finish lease — the final serialized MethodResult. Because warm
- * state is a pure function of trace bytes + config, a migrated
- * stream's final result is bit-identical to an unmigrated one. A
- * torn or corrupt committed prefix is not fatal: the worker warns and
- * re-warms from window 0, as a batch cell does with bad live-points.
+ * migration"): once no work unit is ready, LEASE hands out a window
+ * range of a fleet-hosted TRACE-STREAM instead (the header carries
+ * stream=). The worker resumes from the stream's committed DLRNLVP1
+ * prefix (instead of re-warming from byte zero), feeds the leased
+ * windows from the shared spool file, and COMPLETEs with either a
+ * longer prefix or — on a finish lease — the final serialized
+ * MethodResult. Because warm state is a pure function of trace bytes
+ * + config, a migrated stream's final result is bit-identical to an
+ * unmigrated one. A torn or corrupt committed prefix is not fatal: the
+ * worker warns and re-warms from window 0, as a batch cell does with
+ * bad live-points.
  *
- * A parked LEASE that comes back "none" (a stream window became
- * leasable, or the wait passed) is followed by one STREAM-LEASE and
- * the next parked LEASE. Only a transport failure (ServiceError)
+ * A parked LEASE that comes back "none" (the wait passed) is followed
+ * by the next parked LEASE. Only a transport failure (ServiceError)
  * sleeps: the reconnect backs off with pollBackoffMs on
  * ServiceClient::poll_base_ms/poll_cap_ms. stop() interrupts parked
  * LEASEs, finishes in-flight units and COMPLETEs them; kill()
@@ -126,12 +126,12 @@ class WorkerLoop
     /**
      * Execute one stream lease end to end: resume from the committed
      * prefix, feed windows [from, to), hand off a longer prefix or the
-     * final result. Execution failures turn into an error handoff;
+     * final result. Execution failures turn into an error COMPLETE;
      * transport failures (ServiceError) propagate to pullLoop's
      * reconnect path.
      */
     void runStreamLease(ServiceClient &client,
-                        const ServiceClient::StreamLeaseInfo &lease,
+                        const ServiceClient::LeaseInfo &lease,
                         const std::string &name);
 
     WorkerConfig config_;

@@ -161,19 +161,13 @@ TEST(CacheKey, SensitiveToEverySemanticInput)
     EXPECT_NE(cellKey("bzip2", "delorean", c), base);
 }
 
-TEST(CacheKey, HostThreadsAndDisplayNamesDoNotFragment)
+TEST(CacheKey, DisplayNamesDoNotFragment)
 {
     const auto cfg = tinyConfig();
     const CacheKey base = cellKey("bzip2", "delorean", cfg);
 
-    // Bit-identical results for any thread count (core/parallel.hh):
-    // the key must not depend on host_threads.
-    auto c = cfg;
-    c.host_threads = 7;
-    EXPECT_EQ(cellKey("bzip2", "delorean", c), base);
-
     // Cache level names are display-only.
-    c = cfg;
+    auto c = cfg;
     c.hier.llc.name = "renamed";
     EXPECT_EQ(cellKey("bzip2", "delorean", c), base);
 }
@@ -203,7 +197,7 @@ TEST(CacheKey, EarlyStopKnobsAreKeyedLivepointFileIsNot)
 
     // Resuming from valid live-points is bit-identical to a fresh
     // warm-up (src/checkpoint/), so the path must not fragment the
-    // cache — mirroring host_threads.
+    // cache.
     c = cfg;
     c.livepoint_file = "/some/warm.dlvp";
     EXPECT_EQ(cellKey("bzip2", "delorean", c), base);

@@ -21,7 +21,9 @@
  * local run, fault injection (expired leases re-queue; a worker
  * killed mid-plan does not change the merged result; a zombie's
  * duplicate COMPLETE is acked and discarded with first write
- * winning), leases renewed while a unit outlives them, the re-record
+ * winning, also when both race through handle(); a store that fails
+ * fails its cells), leases renewed while a unit outlives them, units
+ * leased before stream windows, the re-record
  * guard on the lease path, SUBMIT quota/backlog backpressure, job
  * table edge cases (exact eviction boundary, concurrent submits,
  * close() racing an in-flight completion), the same STATUS/STATS
@@ -46,7 +48,9 @@
  * offline run, under the offline content key — plus an abuse suite
  * (corrupt ids, bad headers, overflow, mid-record close, append after
  * close) where every case is an error reply and the service stays
- * fully usable.
+ * fully usable. The client-side follower (`stream --tail`) feeds a
+ * file grown in unaligned cuts to a daemon and to a two-worker fleet,
+ * and gives up on a file that vanishes.
  */
 
 #include <gtest/gtest.h>
@@ -185,7 +189,6 @@ struct ServiceFixture
             config.spool_dir = root.path + "/spool";
         config.threads = threads;
         config.poll_ms = 20; // fast spool polls keep tests snappy
-        config.tail_poll_ms = 25; // ...and fast trace-tail polls
         service = std::make_unique<BatchService>(config);
         runner = std::thread([this] { service->run(); });
         waitFor([&] { return ServiceClient::ping(config.socket_path); },
@@ -1268,11 +1271,10 @@ TEST(ProtocolFuzz, CorruptFramesAlwaysThrowNeverCrash)
     for (int i = 0; i < 640; ++i) {
         const bool fuzz_request = (rng.next() & 1) != 0;
         // A random but structurally valid starting frame (every
-        // client-originated opcode, including the TRACE-STREAM trio,
-        // the stream-migration pair STREAM-LEASE/STREAM-HANDOFF and
-        // WAIT).
+        // client-originated opcode, including the TRACE-STREAM trio
+        // and WAIT).
         static constexpr std::uint32_t request_codes[] = {
-            1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16};
+            1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16};
         const std::uint32_t good_code =
             fuzz_request ? request_codes[rng.next() %
                                          std::size(request_codes)]
@@ -1307,11 +1309,14 @@ TEST(ProtocolFuzz, CorruptFramesAlwaysThrowNeverCrash)
             break;
           }
           case BadCode: {
-            // Requests: opcodes past WAIT are unknown.
+            // Requests: the retired 14 and 15 (STREAM-LEASE,
+            // STREAM-HANDOFF) and opcodes past WAIT are unknown.
             // Replies: statuses past status_part are unknown.
+            const std::uint32_t pick = std::uint32_t(rng.next() % 100000);
             const std::uint32_t bad =
-                (fuzz_request ? 17 : 3) +
-                std::uint32_t(rng.next() % 100000);
+                !fuzz_request ? 3 + pick
+                : pick % 4 == 0 ? 14 + pick / 4 % 2
+                                : 17 + pick;
             workload::le::putU32(
                 reinterpret_cast<std::uint8_t *>(frame.data()) + 8,
                 bad);
@@ -2734,20 +2739,19 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
         }
     };
 
-    // No streams: STREAM-LEASE is idle, whatever the body says.
+    // No streams and no units: LEASE is idle, whatever the body says.
     for (const char *body : {"", "worker=w\n", "garbage tokens\n"}) {
-        const auto reply =
-            safeHandle(proto::Opcode::StreamLease, body);
+        const auto reply = safeHandle(proto::Opcode::Lease, body);
         ASSERT_TRUE(reply.ok) << body;
         EXPECT_EQ(reply.body, "none\n") << body;
     }
 
-    // Malformed STREAM-HANDOFF headers are error replies.
+    // Malformed stream COMPLETE headers are error replies.
     for (const char *body :
          {"", "lease=1\n", "status=ok\n", "lease=1 status=maybe\n",
-          "lease=zzz status=ok\n"}) {
-        EXPECT_FALSE(
-            safeHandle(proto::Opcode::StreamHandoff, body).ok)
+          "lease=zzz status=ok\n", "lease=1 status=ok windows=x\n",
+          "lease=1 status=ok est_cpi=nan?\n"}) {
+        EXPECT_FALSE(safeHandle(proto::Opcode::Complete, body).ok)
             << "'" << body << "'";
     }
 
@@ -2766,79 +2770,81 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
                    "stream=" + sid + "\n" + bytes)
             .ok);
 
-    const auto leased =
-        safeHandle(proto::Opcode::StreamLease, "worker=w\n");
+    const auto leased = safeHandle(proto::Opcode::Lease, "worker=w\n");
     ASSERT_TRUE(leased.ok);
     ASSERT_NE(leased.body, "none\n");
+    EXPECT_EQ(tokenOf(leased.body, "stream"), sid);
     EXPECT_EQ(tokenOf(leased.body, "from"), "0");
     EXPECT_EQ(tokenOf(leased.body, "to"), "1");
     EXPECT_EQ(tokenOf(leased.body, "finish"), "0");
     EXPECT_EQ(tokenOf(leased.body, "prefix"), "-");
     // A leased stream is not leased twice.
-    EXPECT_EQ(safeHandle(proto::Opcode::StreamLease, "").body,
-              "none\n");
+    EXPECT_EQ(safeHandle(proto::Opcode::Lease, "").body, "none\n");
 
     // A prefix handoff must ship a prefix file...
     const std::string lease1 = tokenOf(leased.body, "lease");
-    EXPECT_FALSE(safeHandle(proto::Opcode::StreamHandoff,
+    EXPECT_FALSE(safeHandle(proto::Opcode::Complete,
                             "lease=" + lease1 +
                                 " status=ok windows=1 prefix=-\n")
                      .ok);
     // ...and the error left the stream leasable again.
-    const auto leased2 =
-        safeHandle(proto::Opcode::StreamLease, "worker=w\n");
+    const auto leased2 = safeHandle(proto::Opcode::Lease, "worker=w\n");
     ASSERT_NE(leased2.body, "none\n");
     const std::string lease2 = tokenOf(leased2.body, "lease");
 
     // A corrupt prefix file is an error reply, the worker file is
     // reclaimed, and the stream is (again) leasable.
-    const std::string garbage = root.path + "/garbage.lvp";
+    const std::string spool_dir = config.cache_dir + "/fleet-streams/";
+    const std::string garbage = spool_dir + sid + ".dlt.lvp." + lease2;
     { std::ofstream(garbage, std::ios::binary) << "not a livepoint"; }
-    EXPECT_FALSE(safeHandle(proto::Opcode::StreamHandoff,
+    EXPECT_FALSE(safeHandle(proto::Opcode::Complete,
                             "lease=" + lease2 +
                                 " status=ok windows=1 prefix=" +
                                 garbage + "\n")
                      .ok);
     EXPECT_FALSE(std::filesystem::exists(garbage));
-    const auto leased3 =
-        safeHandle(proto::Opcode::StreamLease, "worker=w\n");
+    const auto leased3 = safeHandle(proto::Opcode::Lease, "worker=w\n");
     ASSERT_NE(leased3.body, "none\n");
     const std::string lease3 = tokenOf(leased3.body, "lease");
 
-    // Cross-kind confusion: a work-unit lease cannot STREAM-HANDOFF,
-    // a stream lease cannot COMPLETE. Both error without consuming
-    // the lease.
-    ASSERT_TRUE(safeHandle(proto::Opcode::Submit,
-                           submitBody(tiny_manifest))
-                    .ok);
-    const auto cell_leased =
-        safeHandle(proto::Opcode::Lease, "worker=w\n");
-    ASSERT_NE(cell_leased.body, "none\n");
-    const std::string cell_lease = tokenOf(cell_leased.body, "lease");
-    EXPECT_FALSE(safeHandle(proto::Opcode::StreamHandoff,
-                            "lease=" + cell_lease +
-                                " status=ok windows=1 prefix=-\n")
-                     .ok);
+    // A prefix= outside the spool directory is not the coordinator's
+    // to read, install or remove: the handoff is refused, the file
+    // survives, and the stream is leasable again.
+    const std::string outside = root.path + "/outside.lvp";
+    { std::ofstream(outside, std::ios::binary) << "not a livepoint"; }
     EXPECT_FALSE(safeHandle(proto::Opcode::Complete,
-                            "lease=" + lease3 + " status=ok more=0\n")
+                            "lease=" + lease3 +
+                                " status=ok windows=1 prefix=" +
+                                spool_dir + "../../outside.lvp\n")
                      .ok);
+    EXPECT_TRUE(std::filesystem::exists(outside));
+    const auto leased4 = safeHandle(proto::Opcode::Lease, "worker=w\n");
+    ASSERT_NE(leased4.body, "none\n");
+    const std::string lease4 = tokenOf(leased4.body, "lease");
 
-    // A handoff under a vanished lease id is acked and discarded —
-    // the worker did nothing wrong — and its prefix file is dropped.
-    const std::string stale = root.path + "/stale.lvp";
+    // A COMPLETE under a vanished lease id is acked and discarded —
+    // the worker did nothing wrong — and its prefix file is dropped,
+    // but only one in the spool directory named for that lease: not
+    // a file elsewhere, nor the stream's own spool.
+    const std::string stale = spool_dir + sid + ".dlt.lvp.999999";
     { std::ofstream(stale, std::ios::binary) << "whatever"; }
-    const auto zombie = safeHandle(proto::Opcode::StreamHandoff,
-                                   "lease=999999 status=ok windows=3 "
-                                   "prefix=" +
-                                       stale + "\n");
-    ASSERT_TRUE(zombie.ok) << zombie.body;
-    EXPECT_EQ(tokenOf(zombie.body, "discarded"), "1");
+    const std::string spool = spool_dir + sid + ".dlt";
+    for (const std::string &prefix : {stale, outside, spool}) {
+        const auto zombie = safeHandle(proto::Opcode::Complete,
+                                       "lease=999999 status=ok windows=3 "
+                                       "prefix=" +
+                                           prefix + "\n");
+        ASSERT_TRUE(zombie.ok) << zombie.body;
+        EXPECT_EQ(tokenOf(zombie.body, "discarded"), "1");
+    }
     EXPECT_FALSE(std::filesystem::exists(stale));
+    EXPECT_TRUE(std::filesystem::exists(outside));
+    EXPECT_TRUE(std::filesystem::exists(spool));
 
-    // An *active* lease's error handoff fails the stream for real;
-    // the next append surfaces the diagnostic and reclaims it.
-    const auto failed = safeHandle(proto::Opcode::StreamHandoff,
-                                   "lease=" + lease3 +
+    // An *active* lease's error fails the stream for real; the next
+    // append surfaces the diagnostic and reclaims it.
+    const auto failed = safeHandle(proto::Opcode::Complete,
+                                   "lease=" + lease4 +
                                        " status=error\n"
                                        "worker exploded");
     ASSERT_TRUE(failed.ok) << failed.body;
@@ -2848,12 +2854,7 @@ TEST(Coordinator, StreamMigrationOpcodeAbuseIsSafe)
     EXPECT_NE(append.body.find("worker exploded"), std::string::npos);
     EXPECT_FALSE(safeHandle(proto::Opcode::Status, "stream=" + sid).ok);
     EXPECT_EQ(coordinator.counters().streams_failed, 1u);
-
-    // Tail mode reads a local file: the coordinator refuses it.
-    EXPECT_FALSE(safeHandle(proto::Opcode::StreamOpen,
-                            "tail=/tmp/nope.dlt\n" +
-                                std::string(directives))
-                     .ok);
+    EXPECT_EQ(coordinator.counters().stream_leases, 4u);
 }
 
 // ------------------------------------------- parked WAIT and LEASE
@@ -2964,7 +2965,7 @@ TEST(Coordinator, ParkedLeaseGetsAnExpiredLeaseUnprompted)
     EXPECT_EQ(local.coordinator->counters().leases_expired, 1u);
 }
 
-TEST(Coordinator, ParkedLeaseAnswersNoneWhenAStreamWindowCompletes)
+TEST(Coordinator, ParkedLeaseGetsAStreamWindowThatCompletes)
 {
     LocalCoordinator local("park_stream");
     TempPath trace("park_stream_trace");
@@ -2988,12 +2989,186 @@ TEST(Coordinator, ParkedLeaseAnswersNoneWhenAStreamWindowCompletes)
                     .call(proto::Opcode::StreamAppend,
                           "stream=" + sid + "\n" + bytes.substr(last))
                     .ok);
-    EXPECT_EQ(lease.get().body, "none\n");
-    const auto window =
-        local.call(proto::Opcode::StreamLease, "worker=a\n");
-    ASSERT_NE(window.body, "none\n");
+    const auto window = lease.get();
+    ASSERT_TRUE(window.ok) << window.body;
+    EXPECT_EQ(tokenOf(window.body, "stream"), sid);
     EXPECT_EQ(tokenOf(window.body, "from"), "0");
     EXPECT_EQ(tokenOf(window.body, "to"), "1");
+    EXPECT_EQ(local.coordinator->counters().parked, 0u);
+}
+
+TEST(Coordinator, LeaseGrantsAReadyUnitBeforeAStreamWindow)
+{
+    LocalCoordinator local("unit_first");
+    TempPath trace("unit_first_trace");
+    const std::string sid = tokenOf(
+        local
+            .call(proto::Opcode::StreamOpen,
+                  "config c llc=2MiB\nschedule s spacing=41000 "
+                  "regions=1\n")
+            .body,
+        "stream");
+    ASSERT_TRUE(local
+                    .call(proto::Opcode::StreamAppend,
+                          "stream=" + sid + "\n" +
+                              recordTraceBytes(trace.path, 41000))
+                    .ok);
+    // The stream's window was leasable first; the unit still wins.
+    ASSERT_TRUE(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).ok);
+    const auto unit = local.call(proto::Opcode::Lease, "worker=a\n");
+    ASSERT_TRUE(unit.ok) << unit.body;
+    EXPECT_EQ(tokenOf(unit.body, "stream"), "");
+    EXPECT_EQ(tokenOf(unit.body, "cells"), "0");
+    const auto window = local.call(proto::Opcode::Lease, "worker=a\n");
+    ASSERT_TRUE(window.ok) << window.body;
+    EXPECT_EQ(tokenOf(window.body, "stream"), sid);
+    EXPECT_EQ(tokenOf(window.body, "to"), "1");
+    EXPECT_EQ(local.call(proto::Opcode::Lease, "").body, "none\n");
+}
+
+TEST(Coordinator, ConcurrentActiveAndZombieCompletesStoreOnce)
+{
+    const auto plan = tinyPlan();
+    const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
+    std::ostringstream payload(std::ios::binary);
+    batch::writeMethodResult(payload, golden);
+
+    LocalCoordinator local("complete_race");
+    const std::string job = tokenOf(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).body,
+        "job");
+    const auto zombie = local.call(proto::Opcode::Lease, "worker=a\n");
+    ASSERT_NE(zombie.body, "none\n");
+    // Expire a's lease at once, as the server does when a grant never
+    // reaches its worker; b leases the re-queued unit, and a comes
+    // back as a zombie that COMPLETEs anyway.
+    ASSERT_TRUE(zombie.undelivered);
+    zombie.undelivered();
+    const auto active = local.call(proto::Opcode::Lease, "worker=b\n");
+    ASSERT_NE(active.body, "none\n");
+    EXPECT_EQ(local.coordinator->counters().leases_expired, 1u);
+
+    // Both COMPLETEs race through handle(): one claims the key and
+    // stores it, the other is acked and discarded.
+    proto::Reply replies[2];
+    std::thread threads[2];
+    const std::string leases[2] = {tokenOf(zombie.body, "lease"),
+                                   tokenOf(active.body, "lease")};
+    for (int i = 0; i < 2; ++i)
+        threads[i] = std::thread([&, i] {
+            replies[i] = local.call(proto::Opcode::Complete,
+                                    "lease=" + leases[i] +
+                                        " status=ok more=0\n" +
+                                        payload.str());
+        });
+    for (auto &thread : threads)
+        thread.join();
+    std::uint64_t stored = 0, discarded = 0;
+    for (const auto &reply : replies) {
+        ASSERT_TRUE(reply.ok) << reply.body;
+        stored += batch::parseCount(tokenOf(reply.body, "stored"));
+        discarded += batch::parseCount(tokenOf(reply.body, "discarded"));
+    }
+    EXPECT_EQ(stored, 1u);
+    EXPECT_EQ(discarded, 1u);
+
+    const auto counters = local.coordinator->counters();
+    EXPECT_EQ(counters.jobs_completed, 1u);
+    EXPECT_EQ(counters.results_stored, 1u);
+    EXPECT_EQ(counters.cells_pending, 0u);
+    EXPECT_STREQ(
+        parseJobStatusLine(local.call(proto::Opcode::Status, job).body)
+            .state(),
+        "done");
+    std::istringstream fetched(
+        local.call(proto::Opcode::Result, plan.cells()[0].key.hex()).body,
+        std::ios::binary);
+    EXPECT_EQ(batch::readMethodResult(fetched), golden);
+
+    // The same race with an error from the active lease: it must not
+    // fail a key the zombie has claimed and is storing. Whichever
+    // COMPLETE is first, the job's state agrees with what was stored.
+    // The error starts a little later each round, so the rounds sweep
+    // it across the zombie's claim, store and resolve.
+    for (int round = 0; round < 40; ++round) {
+        LocalCoordinator race("complete_error_race");
+        const std::string id = tokenOf(
+            race.call(proto::Opcode::Submit, submitBody(tiny_manifest))
+                .body,
+            "job");
+        const auto late = race.call(proto::Opcode::Lease, "worker=a\n");
+        ASSERT_TRUE(late.undelivered);
+        late.undelivered();
+        const auto live = race.call(proto::Opcode::Lease, "worker=b\n");
+        ASSERT_NE(live.body, "none\n");
+        std::atomic<bool> go{false};
+        proto::Reply zombie_done;
+        std::thread zombie_thread([&] {
+            while (!go.load())
+                std::this_thread::yield();
+            zombie_done = race.call(proto::Opcode::Complete,
+                                    "lease=" + tokenOf(late.body, "lease") +
+                                        " status=ok more=0\n" +
+                                        payload.str());
+        });
+        go.store(true);
+        const auto start = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() - start <
+               std::chrono::microseconds(5 * round))
+            std::this_thread::yield();
+        const auto error_done =
+            race.call(proto::Opcode::Complete,
+                      "lease=" + tokenOf(live.body, "lease") +
+                          " status=error\nworker exploded");
+        zombie_thread.join();
+        ASSERT_TRUE(zombie_done.ok) << zombie_done.body;
+        ASSERT_TRUE(error_done.ok) << error_done.body;
+        const bool stored = tokenOf(zombie_done.body, "stored") == "1";
+        EXPECT_EQ(race.coordinator->cache().contains(plan.cells()[0].key),
+                  stored);
+        EXPECT_STREQ(
+            parseJobStatusLine(race.call(proto::Opcode::Status, id).body)
+                .state(),
+            stored ? "done" : "failed")
+            << "round " << round;
+        EXPECT_EQ(race.coordinator->counters().cells_pending, 0u);
+    }
+}
+
+TEST(Coordinator, FailedStoreFailsTheCellsItClaimed)
+{
+    const auto plan = tinyPlan();
+    std::ostringstream payload(std::ios::binary);
+    batch::writeMethodResult(
+        payload, batch::BatchRunner::runCell(plan.cells()[0]));
+
+    LocalCoordinator local("store_fail");
+    // A non-empty directory where the key's cache entry goes: the
+    // store's rename onto it fails, even as root.
+    std::filesystem::create_directories(local.root.path + "/cache/" +
+                                        plan.cells()[0].key.hex() +
+                                        ".res/occupied");
+    const std::string job = tokenOf(
+        local.call(proto::Opcode::Submit, submitBody(tiny_manifest)).body,
+        "job");
+    const auto leased = local.call(proto::Opcode::Lease, "worker=a\n");
+    ASSERT_NE(leased.body, "none\n");
+    const auto done = local.call(proto::Opcode::Complete,
+                                 "lease=" + tokenOf(leased.body, "lease") +
+                                     " status=ok more=0\n" +
+                                     payload.str());
+    ASSERT_TRUE(done.ok) << done.body;
+    EXPECT_EQ(tokenOf(done.body, "stored"), "0");
+
+    const JobStatus status =
+        parseJobStatusLine(local.call(proto::Opcode::Status, job).body);
+    EXPECT_STREQ(status.state(), "failed");
+    EXPECT_NE(status.first_error.find("cannot publish cache entry"),
+              std::string::npos)
+        << status.first_error;
+    EXPECT_EQ(local.coordinator->counters().cells_pending, 0u);
+    EXPECT_EQ(local.call(proto::Opcode::Lease, "").body, "none\n");
 }
 
 TEST(Coordinator, WaitAnswersTheTerminalLineOrTheLineAtTimeout)
@@ -3049,7 +3224,7 @@ TEST(Coordinator, ShutdownReleasesEveryParkedRequest)
                               recordTraceBytes(trace.path, 41000))
                     .ok);
     // The window goes out on lease too, so CLOSE parks for its finish.
-    ASSERT_NE(local.call(proto::Opcode::StreamLease, "").body, "none\n");
+    ASSERT_NE(local.call(proto::Opcode::Lease, "").body, "none\n");
 
     Parked wait(local, proto::Opcode::Wait,
                 "job=" + job + " timeout_ms=10000");
@@ -3225,7 +3400,7 @@ TEST(Coordinator, TornPrefixHandoffsAreRejectedAndTheStreamStaysLeasable)
 
     // Warm both windows in process, as a worker would, for a real
     // 2-window DLRNLVP1 prefix of this stream.
-    auto lease = local.call(proto::Opcode::StreamLease, "worker=w\n");
+    auto lease = local.call(proto::Opcode::Lease, "worker=w\n");
     ASSERT_EQ(tokenOf(lease.body, "to"), "2");
     const std::string spool = tokenOf(lease.body, "trace");
     core::DeloreanSession session(
@@ -3243,7 +3418,7 @@ TEST(Coordinator, TornPrefixHandoffsAreRejectedAndTheStreamStaysLeasable)
             spool + ".lvp." + tokenOf(lease.body, "lease");
         writeFile(path, prefix.substr(0, size));
         const auto reply = local.call(
-            proto::Opcode::StreamHandoff,
+            proto::Opcode::Complete,
             "lease=" + tokenOf(lease.body, "lease") +
                 " status=ok windows=2 prefix=" + path + "\n");
         EXPECT_FALSE(std::filesystem::exists(path) && !reply.ok)
@@ -3261,7 +3436,7 @@ TEST(Coordinator, TornPrefixHandoffsAreRejectedAndTheStreamStaysLeasable)
                           "windows_fed"),
                   "0")
             << "cut " << cut;
-        lease = local.call(proto::Opcode::StreamLease, "worker=w\n");
+        lease = local.call(proto::Opcode::Lease, "worker=w\n");
         ASSERT_NE(lease.body, "none\n") << "not leasable after cut " << cut;
         EXPECT_EQ(tokenOf(lease.body, "from"), "0");
     }
@@ -3272,12 +3447,12 @@ TEST(Coordinator, TornPrefixHandoffsAreRejectedAndTheStreamStaysLeasable)
     EXPECT_EQ(tokenOf(committed.body, "committed"), "2");
     Parked close(local, proto::Opcode::StreamClose, "stream=" + sid);
     const auto finish =
-        local.call(proto::Opcode::StreamLease, "worker=w\n");
+        local.call(proto::Opcode::Lease, "worker=w\n");
     ASSERT_EQ(tokenOf(finish.body, "finish"), "1") << finish.body;
     std::ostringstream result(std::ios::binary);
     batch::writeMethodResult(result, session.finish());
     ASSERT_TRUE(local
-                    .call(proto::Opcode::StreamHandoff,
+                    .call(proto::Opcode::Complete,
                           "lease=" + tokenOf(finish.body, "lease") +
                               " status=ok windows=2 prefix=-\n" +
                               result.str())
@@ -3359,44 +3534,92 @@ TEST(Stream, TailFollowsGrowingTraceFile)
         "workload file:" + trace.path + "\n" + stream_directives;
     const auto plan = tinyPlan(plan_text.c_str());
     const auto golden = batch::BatchRunner::runCell(plan.cells()[0]);
+    const std::size_t records_at = bytes.size() - 400000ull * 32;
+    const std::size_t w1_end = records_at + 200000ull * 32;
 
-    // Re-grow the file from scratch while the daemon tails it. The
-    // cut points are unaligned (mid-header, mid-record) on purpose:
-    // the stability gate must still never feed a half-written tail.
-    std::filesystem::remove(trace.path);
+    // The client follows the file, so a daemon and a coordinator
+    // serve the same follower.
+    const auto follow = [&](const std::string &socket) {
+        // Re-grow the file from scratch while the client follows it.
+        // The cut points are unaligned (mid-header, mid-record) on
+        // purpose: the stability gate must still never send a
+        // half-written tail.
+        std::filesystem::remove(trace.path);
+        const auto append = [&](std::size_t from, std::size_t to) {
+            std::ofstream out(trace.path,
+                              std::ios::binary | std::ios::app);
+            out.write(bytes.data() + from, std::streamoff(to - from));
+        };
+        ServiceClient client(socket);
+        const std::uint64_t id = client.streamOpen(stream_directives);
+        // The follower starts BEFORE the recorder's first write: a
+        // file that does not exist yet is "not started", not
+        // "vanished".
+        std::optional<ServiceClient::StreamStatus> last;
+        std::thread follower([&] {
+            ServiceClient tail(socket);
+            last = tail.streamFollow(id, trace.path, /*poll_ms=*/25);
+        });
+        append(0, 13);
+        append(13, records_at + 17);
+        append(records_at + 17, w1_end + 5);
+        ServiceFixture::waitFor(
+            [&] { return client.streamStatus(id).windows_fed >= 1; },
+            "the follower to feed window 1");
+        append(w1_end + 5, bytes.size());
+        // The follower notices the file stopped growing, sends the
+        // rest, and returns once STATUS says complete=1.
+        follower.join();
+        ASSERT_TRUE(last.has_value());
+        EXPECT_TRUE(last->complete);
+        const auto closed = client.streamClose(id);
+        EXPECT_EQ(closed.windows, 2u);
+        EXPECT_EQ(closed.key, plan.cells()[0].key);
+        EXPECT_EQ(client.result(closed.key), golden);
+    };
+
+    {
+        ServiceFixture daemon;
+        follow(daemon.config.socket_path);
+    }
+    CoordinatorFixture fleet;
+    WorkerLoop a(fleet.workerConfig("a")), b(fleet.workerConfig("b"));
+    a.start();
+    b.start();
+    follow(fleet.config.socket_path);
+    a.stop();
+    b.stop();
+    EXPECT_EQ(fleet.coordinator->counters().streams_finished, 1u);
+}
+
+TEST(Stream, FollowerStopsWhenTheTraceVanishes)
+{
+    TempPath trace("vanish_trace");
+    const std::string bytes = recordTraceBytes(trace.path, 400000);
+    writeFile(trace.path, bytes.substr(0, bytes.size() / 2));
     ServiceFixture fixture;
     ServiceClient client(fixture.config.socket_path);
-
-    const auto append = [&](std::size_t from, std::size_t to) {
-        std::ofstream out(trace.path,
-                          std::ios::binary | std::ios::app);
-        out.write(bytes.data() + from, std::streamoff(to - from));
-    };
-    // The tail opens BEFORE the recorder's first write: a file that
-    // does not exist yet is "not started", not "vanished" — the
-    // daemon polls until it appears.
-    const std::uint64_t id = client.streamOpen(
-        "tail=" + trace.path + "\n" + std::string(stream_directives));
-    EXPECT_EQ(client.streamStatus(id).records, 0u);
-    append(0, 13);
-
-    const std::size_t records_at = bytes.size() - 400000ull * 32;
-    append(13, records_at + 17);
-    append(records_at + 17, records_at + 200000ull * 32 + 5);
+    const std::uint64_t id = client.streamOpen(stream_directives);
+    std::string error;
+    std::thread follower([&] {
+        ServiceClient tail(fixture.config.socket_path);
+        try {
+            (void)tail.streamFollow(id, trace.path, /*poll_ms=*/25);
+        } catch (const ServiceError &e) {
+            error = e.what();
+        }
+    });
+    // Seen (its bytes arrive), then gone: the follower gives up, and
+    // the stream stays open like any pushed stream whose client quit.
     ServiceFixture::waitFor(
-        [&] { return client.streamStatus(id).windows_fed >= 1; },
-        "the tail to feed window 1");
-    append(records_at + 200000ull * 32 + 5, bytes.size());
-
-    // The daemon notices the file stopped growing, drains it, and
-    // STATUS flips complete=1 — the signal to CLOSE.
-    ServiceFixture::waitFor(
-        [&] { return client.streamStatus(id).complete; },
-        "the tail to drain the file");
-    const auto closed = client.streamClose(id);
-    EXPECT_EQ(closed.windows, 2u);
-    EXPECT_EQ(closed.key, plan.cells()[0].key);
-    EXPECT_EQ(client.result(closed.key), golden);
+        [&] { return client.streamStatus(id).records > 0; },
+        "the follower to send the file");
+    std::filesystem::remove(trace.path);
+    follower.join();
+    EXPECT_NE(error.find("vanished"), std::string::npos) << error;
+    const auto status = client.streamStatus(id);
+    EXPECT_GT(status.records, 0u);
+    EXPECT_FALSE(status.complete);
 }
 
 } // namespace

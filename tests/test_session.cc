@@ -12,7 +12,7 @@
  *  - suspend via sessionLivePoints -> writeLivePointFile ->
  *    loadPrefixForRun -> feedWarmWindows resumes bit-identically, and
  *    loadForRun (the full-coverage loader) rejects prefix files;
- *  - host_threads does not change any bit of the result;
+ *  - the threads of an executor do not change any bit of the result;
  *  - a truncated trace holding only regionEnd(k) instructions can
  *    feed exactly its k complete windows (the streaming feed policy);
  *  - estimate() reports the fed/total window counts and a 95% CI
@@ -32,6 +32,7 @@
 
 #include "checkpoint/livepoint.hh"
 #include "core/delorean.hh"
+#include "core/parallel.hh"
 #include "core/session.hh"
 #include "sampling/region.hh"
 #include "workload/trace_io.hh"
@@ -161,19 +162,16 @@ TEST(Session, SuspendAndResumeThroughLivePointsIsBitIdentical)
     }
 }
 
-TEST(Session, HostThreadsDoNotChangeAnyBit)
+TEST(Session, ExecutorThreadsDoNotChangeAnyBit)
 {
-    DeloreanConfig serial = tinyConfig();
-    serial.host_threads = 1;
-    DeloreanConfig threaded = tinyConfig();
-    threaded.host_threads = 3;
-
-    DeloreanSession a(serial);
+    const DeloreanConfig cfg = tinyConfig();
+    DeloreanSession a(cfg);
     a.feedWindows(*workload::makeTrace(benchmark),
-                  serial.schedule.num_regions);
-    DeloreanSession b(threaded);
+                  cfg.schedule.num_regions);
+    core::ThreadPool pool(2);
+    DeloreanSession b(cfg);
     b.feedWindows(*workload::makeTrace(benchmark),
-                  threaded.schedule.num_regions);
+                  cfg.schedule.num_regions, &pool);
     EXPECT_EQ(a.finish(), b.finish());
 }
 

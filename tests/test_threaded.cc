@@ -375,7 +375,7 @@ TEST(Executor, NoHelpersRunsInlineWithoutPosting)
 TEST(RegionParallel, SessionOverAnExecutorMatchesSerial)
 {
     // The session's one fan-out path: windows over a caller's executor
-    // are bit-identical to host_threads = 1 with no executor.
+    // are bit-identical to the inline feed with no executor.
     auto trace = workload::makeSpecTrace("bzip2");
     DeloreanConfig cfg;
     cfg.schedule.num_regions = 4;
@@ -397,11 +397,10 @@ TEST(RegionParallel, MethodBitIdenticalAcrossThreadCounts)
     cfg.schedule.spacing = 500'000;
     cfg.hier.llc.size = 2 * MiB;
 
-    cfg.host_threads = 1;
     const auto serial = DeloreanMethod::run(*trace, cfg);
     for (unsigned threads : {2u, 4u}) {
-        cfg.host_threads = threads;
-        const auto parallel = DeloreanMethod::run(*trace, cfg);
+        ThreadPool pool(threads - 1);
+        const auto parallel = DeloreanMethod::run(*trace, cfg, nullptr, &pool);
         expectIdenticalResults(serial, parallel);
     }
 }
@@ -416,10 +415,9 @@ TEST(RegionParallel, DseBitIdenticalAcrossThreadCounts)
     const std::vector<std::uint64_t> sizes = {1 * MiB, 2 * MiB, 4 * MiB,
                                               8 * MiB};
 
-    cfg.host_threads = 1;
     const auto serial = DesignSpaceExplorer::run(*trace, cfg, sizes);
-    cfg.host_threads = 4;
-    const auto parallel = DesignSpaceExplorer::run(*trace, cfg, sizes);
+    ThreadPool pool(3);
+    const auto parallel = DesignSpaceExplorer::run(*trace, cfg, sizes, &pool);
 
     ASSERT_EQ(serial.points.size(), parallel.points.size());
     for (std::size_t i = 0; i < serial.points.size(); ++i) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/delorean.hh"
+#include "core/parallel.hh"
 #include "workload/champsim_trace.hh"
 #include "workload/endian.hh"
 #include "workload/spec_profiles.hh"
@@ -834,8 +835,9 @@ TEST(ReplayEquivalence, FileBackedBzip2MatchesInMemoryBitExactly)
     const auto replay = core::DeloreanMethod::run(file, cfg);
     EXPECT_TRUE(replay == golden);
 
-    cfg.host_threads = 3;
-    const auto parallel_replay = core::DeloreanMethod::run(file, cfg);
+    core::ThreadPool pool(2);
+    const auto parallel_replay =
+        core::DeloreanMethod::run(file, cfg, nullptr, &pool);
     EXPECT_TRUE(parallel_replay == golden);
 
     // Golden pins from test_core.cc.

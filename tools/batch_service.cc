@@ -56,13 +56,14 @@
  * trace file — the streamed result is cached under the same content
  * key an offline run of that file produces.
  *
- * `stream --tail` hands the ingestion to the *server*: the daemon
- * polls the (possibly still growing) trace file itself — with the
- * manifest watcher's stability gate, so a recorder's half-written
- * tail is never fed — while this command just polls STATUS (running
- * CPI, MPKI and miss-ratio-curve points) until every declared record
- * is ingested, then closes. The trace path must be visible to the
- * daemon, so it is sent absolute.
+ * `stream --tail` follows a trace file that a recorder may still be
+ * writing: every 200 ms it appends only the bytes that already existed
+ * at the previous look (ServiceClient::streamFollow, a stability gate
+ * like the spool watcher's, so a recorder's half-written tail is never
+ * sent), printing the running estimate (CPI, MPKI, miss-ratio curve)
+ * after each append, and closes once every declared record is in. The
+ * client reads the file, so it works against a daemon and a
+ * coordinator alike.
  */
 
 #include <fcntl.h>
@@ -73,7 +74,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -147,7 +147,7 @@ struct CliOptions
     unsigned max_ready = 100000;
     std::string plan_file; //!< stream: manifest directives
     unsigned chunks = 3;   //!< stream: append pieces
-    bool tail = false;     //!< stream: server-side tail of the file
+    bool tail = false;     //!< stream: follow the growing file
 };
 
 unsigned
@@ -412,40 +412,8 @@ printStreamStatus(const char *label, unsigned n,
     std::printf("\n");
 }
 
-/**
- * Server-side tail: the daemon follows the growing file itself; we
- * poll STATUS for the running estimate and close once every declared
- * record is ingested.
- */
-int
-streamTail(const CliOptions &cli, ServiceClient &client,
-           const std::string &directives)
-{
-    // The daemon opens the path itself, from its own working
-    // directory — send it absolute.
-    const std::string path =
-        std::filesystem::absolute(cli.positional).string();
-    const std::uint64_t id =
-        client.streamOpen("tail=" + path + "\n" + directives);
-    std::printf("stream=%llu tail=%s\n", (unsigned long long)id,
-                path.c_str());
-
-    unsigned attempt = 0;
-    for (unsigned poll = 1;; ++poll) {
-        const auto st = client.streamStatus(id);
-        printStreamStatus("poll", poll, st);
-        if (st.complete)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            pollBackoffMs(attempt++, ServiceClient::poll_base_ms,
-                          ServiceClient::poll_cap_ms, id)));
-    }
-
-    const auto info = client.streamClose(id);
-    std::printf("key=%s windows=%u\n", info.key.hex().c_str(),
-                info.windows);
-    return 0;
-}
+/** How often `stream --tail` looks at the growing file. */
+constexpr unsigned tail_poll_ms = 200;
 
 int
 cmdStream(const CliOptions &cli)
@@ -456,7 +424,18 @@ cmdStream(const CliOptions &cli)
             cli.plan_file.empty() ? ""
                                   : readManifestFile(cli.plan_file);
         ServiceClient client(cli.service.socket_path);
-        return streamTail(cli, client, directives);
+        const std::uint64_t id = client.streamOpen(directives);
+        std::printf("stream=%llu tail=%s\n", (unsigned long long)id,
+                    cli.positional.c_str());
+        unsigned poll = 0;
+        client.streamFollow(id, cli.positional, tail_poll_ms,
+                            [&](const ServiceClient::StreamStatus &st) {
+                                printStreamStatus("poll", ++poll, st);
+                            });
+        const auto info = client.streamClose(id);
+        std::printf("key=%s windows=%u\n", info.key.hex().c_str(),
+                    info.windows);
+        return 0;
     }
     std::ifstream is(cli.positional, std::ios::binary);
     fatal_if(!is, "cannot open trace '%s'", cli.positional.c_str());
@@ -478,7 +457,7 @@ cmdStream(const CliOptions &cli)
     // Chunk boundaries by plain byte arithmetic: they land mid-record
     // and mid-window, which the stream must (and does) absorb. Each
     // chunk still respects the 64 MiB frame cap via sub-appends.
-    constexpr std::size_t max_append = 32u << 20;
+    constexpr std::size_t max_append = ServiceClient::max_append;
     for (unsigned c = 0; c < chunks; ++c) {
         const std::size_t begin = bytes.size() * c / chunks;
         const std::size_t end = bytes.size() * (c + 1) / chunks;
